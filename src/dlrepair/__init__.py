@@ -83,6 +83,7 @@ from .sat import (
     ma_dec,
     sat_cqneg,
     sat_datalog_positive,
+    sat_query,
     sat_ucqneg,
     specialize,
 )

@@ -130,25 +130,6 @@ def _print_repair(result: repair_mod.RepairResult, out) -> None:
         print(f"witness: {pairs}", file=out)
 
 
-def _oracle_defaults(program: Program, instance: Instance, target: tuple[str, ...], budget: int | None):
-    flags = classify(program)
-    if flags.is_ucq:
-        domain = repair_mod.SearchDomain.for_ucq(program, instance, target)
-        if budget is None:
-            budget = max(
-                (r.positive_count() + r.negative_count() for r in program.rules), default=0
-            )
-    elif flags.is_positive_datalog:
-        domain = repair_mod.SearchDomain.for_positive_datalog(program, instance, target)
-        if budget is None:
-            budget = repair_mod.DEFAULT_SP_BUDGET
-    else:
-        if budget is None:
-            budget = repair_mod.DEFAULT_SP_BUDGET
-        domain = repair_mod.SearchDomain.for_spdatalog(program, instance, target, budget)
-    return domain, budget
-
-
 def _read_repair_json(path: str) -> Update:
     data = json.loads(Path(path).read_text())
     ins = [parse_fact(s, allow_fresh=True) for s in data.get("insert", [])]
@@ -202,7 +183,7 @@ def run(argv: list[str], out=None, err=None) -> int:
         if args.command == "repair":
             program, instance, target = _load(args)
             if args.oracle:
-                domain, budget = _oracle_defaults(program, instance, target, args.budget)
+                domain, budget = repair_mod.oracle_defaults(program, instance, target, args.budget)
                 result = repair_mod.oracle_ma_min(program, instance, target, domain, budget)
             else:
                 result = repair_mod.ma_min(program, instance, target, budget=args.budget)
@@ -214,13 +195,7 @@ def run(argv: list[str], out=None, err=None) -> int:
 
         if args.command == "sat":
             program, _, _ = _load(args)
-            flags = classify(program)
-            if flags.is_ucq:
-                result = sat_mod.sat_ucqneg(program)
-            elif flags.is_positive_datalog:
-                result = sat_mod.sat_datalog_positive(program)
-            else:
-                raise sat_mod.Unsupported("satisfiability for recursive programs with negation")
+            result = sat_mod.sat_query(program)
             print("satisfiable" if result.satisfiable else "unsatisfiable", file=out)
             if result.satisfiable and result.witness is not None:
                 for fact in result.witness:

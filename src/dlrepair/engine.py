@@ -9,7 +9,6 @@ independent reference the tests compare against.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -22,8 +21,6 @@ from .model import (
     RelLiteral,
     Rule,
     Term,
-    active_domain,
-    fresh_constants,
 )
 
 
@@ -112,16 +109,13 @@ def _solutions(
     comparisons: list[Comparison],
     edb: dict[str, _Relation],
     g: dict[str, str],
-    extra_domain: Iterable[str] = (),
 ) -> Iterator[dict[str, str]]:
     """All extensions of ``g`` satisfying the literals.
 
     Positive literals match against their paired relation; negative literals
     and comparisons are checked once ground.  Equality atoms bind as soon as
-    one side is ground.  If checks with unbound variables survive after all
-    positive literals are consumed (possible only for rules that escape the
-    safety validation), the leftover variables range over the instance's
-    constants extended by ``extra_domain``.
+    one side is ground.  A check still unground after the last positive
+    literal means the rule is unsafe, and raises ValueError.
     """
     g = dict(g)
     comparisons = list(comparisons)
@@ -166,29 +160,9 @@ def _solutions(
     positives = [p for i, p in enumerate(positives) if i not in set(ready)]
 
     if not positives:
-        if not negatives and not comparisons:
-            yield g
-            return
-        # Leftover checks with unbound variables: enumerate them over the
-        # visible constants plus one fresh constant per variable.
-        loose = sorted(
-            {t.name for lit in negatives for t in lit.args if t.is_variable and t.name not in g}
-            | {
-                t.name
-                for cmp_ in comparisons
-                for t in (cmp_.left, cmp_.right)
-                if t.is_variable and t.name not in g
-            }
-        )
-        if not loose:
-            return
-        pool = sorted({a for rel in edb.values() for t in rel.tuples for a in t} | set(extra_domain) | set(g.values()))
-        new_fresh = [c for c in fresh_constants(len(loose) + len(pool)) if c not in pool]
-        pool += new_fresh[: len(loose)]
-        for combo in itertools.product(pool, repeat=len(loose)):
-            g2 = dict(g)
-            g2.update(zip(loose, combo))
-            yield from _solutions([], negatives, comparisons, edb, g2, extra_domain)
+        if negatives or comparisons:
+            raise ValueError("unsafe rule: a variable occurs in no positive literal")
+        yield g
         return
 
     # Branch on the positive literal with the fewest unbound variables.
@@ -212,7 +186,7 @@ def _solutions(
                     ok = False
                     break
         if ok:
-            yield from _solutions(rest, negatives, comparisons, edb, g2, extra_domain)
+            yield from _solutions(rest, negatives, comparisons, edb, g2)
 
 
 def rule_solutions(
@@ -221,7 +195,6 @@ def rule_solutions(
     idb: Mapping[str, _Relation] | None = None,
     binding: Mapping[str, str] | None = None,
     delta: tuple[int, _Relation] | None = None,
-    extra_domain: Iterable[str] = (),
 ) -> Iterator[dict[str, str]]:
     """Assignments satisfying the body of ``rule``.
 
@@ -247,7 +220,7 @@ def rule_solutions(
         else:
             rel = edb.get(lit.relation, _EMPTY_RELATION)
         positives.append((lit, rel))
-    yield from _solutions(positives, negatives, comparisons, edb, dict(binding or {}), extra_domain)
+    yield from _solutions(positives, negatives, comparisons, edb, dict(binding or {}))
 
 
 def _head_binding(rule: Rule, target: tuple[str, ...]) -> dict[str, str] | None:
@@ -357,12 +330,11 @@ def eval_member(program: Program, instance: Instance, target: tuple[str, ...]) -
     if flags.is_ucq:
         _check_instance(program, instance)
         edb = _index_instance(instance)
-        extra = active_domain(program, instance, target)
         for rule in program.rules:
             binding = _head_binding(rule, target)
             if binding is None:
                 continue
-            for _ in rule_solutions(rule, edb, binding=binding, extra_domain=extra):
+            for _ in rule_solutions(rule, edb, binding=binding):
                 return True
         return False
     return target in eval_datalog(program, instance)[program.answer].tuples

@@ -8,6 +8,7 @@ order (relation symbol, then argument tuple).
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
@@ -371,8 +372,11 @@ def active_domain(program: Program, instance: Instance, target: tuple[str, ...] 
     return program.constants() | instance.constants() | frozenset(target)
 
 
-def fresh_constants(count: int) -> tuple[str, ...]:
-    return tuple(f"{FRESH_PREFIX}{i}" for i in range(count))
+def fresh_constants(count: int, taken: Iterable[str] = ()) -> tuple[str, ...]:
+    """The first ``count`` of ``_c0, _c1, ...`` that are not in ``taken``."""
+    taken = set(taken)
+    names = (f"{FRESH_PREFIX}{i}" for i in itertools.count())
+    return tuple(itertools.islice((n for n in names if n not in taken), count))
 
 
 def is_fresh_constant(name: str) -> bool:

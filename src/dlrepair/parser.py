@@ -235,9 +235,6 @@ def _body_literal(p: _Parser) -> tuple:
         p.next()
         name, terms, name_tok = p.atom()
         return "rel", RelLiteral(name, tuple(terms), positive=False), name_tok
-    if tok.kind == "IDENT" and p.peek(1).kind == "LPAREN":
-        name, terms, name_tok = p.atom()
-        return "rel", RelLiteral(name, tuple(terms), positive=True), name_tok
     if tok.kind == "IDENT" and p.peek(1).kind not in ("EQ", "NEQ"):
         name, terms, name_tok = p.atom()
         return "rel", RelLiteral(name, tuple(terms), positive=True), name_tok
@@ -360,25 +357,29 @@ def parse_program(text: str) -> Program:
     return Program(tuple(rules), answer, schema)
 
 
+def _fact(p: _Parser) -> tuple[Fact, _Token]:
+    """The next atom as a fact, with the token of its relation name."""
+    name, terms, name_tok = p.atom()
+    for t in terms:
+        if t.is_variable:
+            raise VariableInFact(f"variable {t.name} in fact", name_tok.line, name_tok.column)
+    return Fact(name, tuple(t.name for t in terms)), name_tok
+
+
 def parse_instance(text: str) -> Instance:
     p = _Parser(text)
     facts: set[Fact] = set()
     arities: dict[str, int] = {}
     while p.peek().kind != "EOF":
-        name, terms, name_tok = p.atom()
-        args: list[str] = []
-        for t in terms:
-            if t.is_variable:
-                raise VariableInFact(f"variable {t.name} in fact", name_tok.line, name_tok.column)
-            args.append(t.name)
-        known = arities.setdefault(name, len(args))
-        if known != len(args):
+        fact, name_tok = _fact(p)
+        known = arities.setdefault(fact.relation, len(fact.args))
+        if known != len(fact.args):
             raise ArityMismatch(
                 f"line {name_tok.line}, column {name_tok.column}: "
-                f"{name} used with arity {len(args)}, previously {known}"
+                f"{fact.relation} used with arity {len(fact.args)}, previously {known}"
             )
         p.expect("DOT", "'.'")
-        facts.add(Fact(name, tuple(args)))
+        facts.add(fact)
     return Instance(frozenset(facts))
 
 
@@ -410,14 +411,9 @@ def parse_fact(text: str, allow_fresh: bool = False) -> Fact:
     which the file grammars reject; it is used to round-trip repair output.
     """
     p = _Parser(text, allow_fresh=allow_fresh)
-    name, terms, name_tok = p.atom()
-    args: list[str] = []
-    for t in terms:
-        if t.is_variable:
-            raise VariableInFact(f"variable {t.name} in fact", name_tok.line, name_tok.column)
-        args.append(t.name)
+    fact, _ = _fact(p)
     p.expect("EOF", "end of input")
-    return Fact(name, tuple(args))
+    return fact
 
 
 # ---------------------------------------------------------------------------

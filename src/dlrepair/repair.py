@@ -27,22 +27,22 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .classify import classify
-from .engine import _check_instance, eval_member
+from .engine import _check_instance, _head_binding, eval_member
 from .model import (
     ArityMismatch,
     Fact,
     Instance,
     Program,
-    RelLiteral,
     Rule,
     Term,
     Update,
     active_domain,
     canonical_key,
+    fresh_constants,
     update_size,
     var,
 )
-from .sat import NotPositiveDatalog, NotUcq
+from .sat import NotPositiveDatalog, NotUcq, _Closure
 
 FOUND = "found"
 NO_REPAIR = "no_repair"
@@ -97,15 +97,8 @@ class SearchDomain:
 
     @classmethod
     def _build(cls, base: set[str], fresh_count: int) -> "SearchDomain":
-        ordered = sorted(base)
-        fresh: list[str] = []
-        i = 0
-        while len(fresh) < fresh_count:
-            candidate = f"_c{i}"
-            i += 1
-            if candidate not in base:
-                fresh.append(candidate)
-        return cls(tuple(ordered) + tuple(fresh), tuple(fresh))
+        fresh = fresh_constants(fresh_count, base)
+        return cls(tuple(sorted(base)) + fresh, fresh)
 
     @classmethod
     def for_ucq(cls, program: Program, instance: Instance, target: tuple[str, ...]) -> "SearchDomain":
@@ -157,70 +150,6 @@ def repair_for_assignment(rule: Rule, assignment: Mapping[str, str], instance: I
         frozenset(f for f in required if f not in instance.facts),
         frozenset(f for f in forbidden if f in instance.facts),
     )
-
-
-def _head_binding(rule: Rule, target: tuple[str, ...]) -> dict[str, str] | None:
-    g: dict[str, str] = {}
-    for term, v in zip(rule.head_args, target):
-        existing = g.get(term.name)
-        if existing is not None and existing != v:
-            return None
-        g[term.name] = v
-    return g
-
-
-# ---------------------------------------------------------------------------
-# Equality closure shared by the per-rule solvers
-
-
-class _Closure:
-    """Equality classes of a rule's terms under its equality atoms and the
-    head binding; ``conflict`` is set when two distinct constants merge."""
-
-    def __init__(self, rule: Rule, binding: Mapping[str, str]):
-        self.parent: dict[tuple[str, str], tuple[str, str]] = {}
-        self.conflict = False
-        for lit in rule.body:
-            terms = lit.args if isinstance(lit, RelLiteral) else (lit.left, lit.right)
-            for t in terms:
-                self.find(self._node(t))
-        for t in rule.head_args:
-            self.find(self._node(t))
-        for name, v in binding.items():
-            self._union(("v", name), ("k", v))
-        for cmp_ in rule.comparisons():
-            if cmp_.op == "eq":
-                self._union(self._node(cmp_.left), self._node(cmp_.right))
-        self.forced: dict[tuple[str, str], str] = {}
-        for node in list(self.parent):
-            kind, name = node
-            if kind != "k":
-                continue
-            root = self.find(node)
-            if root in self.forced and self.forced[root] != name:
-                self.conflict = True
-            self.forced[root] = name
-
-    @staticmethod
-    def _node(term: Term) -> tuple[str, str]:
-        return ("v" if term.is_variable else "k", term.name)
-
-    def find(self, node: tuple[str, str]) -> tuple[str, str]:
-        self.parent.setdefault(node, node)
-        root = node
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[node] != root:
-            self.parent[node], node = root, self.parent[node]
-        return root
-
-    def _union(self, a: tuple[str, str], b: tuple[str, str]) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def term_root(self, term: Term) -> tuple[str, str]:
-        return self.find(self._node(term))
 
 
 # ---------------------------------------------------------------------------
@@ -432,22 +361,10 @@ def _join_free(rule: Rule, instance: Instance, target: tuple[str, ...]):
     if cl.conflict:
         return None
     beta = rule.relational_literals()[0]
-
     # Free classes, ordered by first occurrence in the single atom and then
-    # the comparisons; each gets its own fresh constant.
-    free_roots: list[tuple[str, str]] = []
-    for t in itertools.chain(beta.args, *((c.left, c.right) for c in rule.comparisons())):
-        root = cl.term_root(t)
-        if root not in cl.forced and root not in free_roots:
-            free_roots.append(root)
-    fresh_for: dict[tuple[str, str], str] = {}
-    taken = set(cl.forced.values()) | instance.constants()
-    i = 0
-    for root in free_roots:
-        while f"_c{i}" in taken:
-            i += 1
-        fresh_for[root] = f"_c{i}"
-        i += 1
+    # the comparisons, each get their own fresh constant.
+    terms = itertools.chain(beta.args, *((c.left, c.right) for c in rule.comparisons()))
+    fresh_values = cl.instantiate(terms, instance.constants())
 
     def check_neq(values: Mapping[tuple[str, str], str]) -> bool:
         for cmp_ in rule.comparisons():
@@ -460,8 +377,6 @@ def _join_free(rule: Rule, instance: Instance, target: tuple[str, ...]):
     def assignment(values: Mapping[tuple[str, str], str]) -> dict[str, str]:
         return {name: values[cl.term_root(var(name))] for name in rule.all_vars}
 
-    fresh_values = dict(cl.forced)
-    fresh_values.update(fresh_for)
     if not check_neq(fresh_values):
         # Only constant-vs-constant comparisons can fail under all-fresh
         # instantiation, so no assignment at all satisfies the rule.
@@ -483,8 +398,8 @@ def _join_free(rule: Rule, instance: Instance, target: tuple[str, ...]):
                     break
             if not ok:
                 continue
-            for root in free_roots:
-                values.setdefault(root, fresh_for[root])
+            for root, v in fresh_values.items():
+                values.setdefault(root, v)
             if check_neq(values):
                 return Update.of(), assignment(values)
         fact = Fact(beta.relation, tuple(fresh_values[cl.term_root(t)] for t in beta.args))
@@ -715,6 +630,24 @@ def oracle_ma_min(
 # Fragment dispatch
 
 
+def oracle_defaults(
+    program: Program, instance: Instance, target: tuple[str, ...], budget: int | None
+) -> tuple[SearchDomain, int]:
+    """Default domain and budget for ``oracle_ma_min``: the fragment's search
+    domain, and for non-recursive queries a budget of the most literals in
+    one rule, which bounds every minimal repair; else ``DEFAULT_SP_BUDGET``."""
+    flags = classify(program)
+    if flags.is_ucq:
+        if budget is None:
+            budget = max((r.positive_count() + r.negative_count() for r in program.rules), default=0)
+        return SearchDomain.for_ucq(program, instance, target), budget
+    if budget is None:
+        budget = DEFAULT_SP_BUDGET
+    if flags.is_positive_datalog:
+        return SearchDomain.for_positive_datalog(program, instance, target), budget
+    return SearchDomain.for_spdatalog(program, instance, target, budget), budget
+
+
 def ma_min(
     program: Program, instance: Instance, target: tuple[str, ...], budget: int | None = None
 ) -> RepairResult:
@@ -738,9 +671,7 @@ def ma_size(
 
 
 def ma_bound(program: Program, instance: Instance, target: tuple[str, ...], k: int) -> bool:
-    """Does a repair of size at most k exist?"""
-    flags = classify(program)
-    if flags.is_ucq or flags.is_positive_datalog:
-        result = ma_min(program, instance, target)
-        return result.status == FOUND and result.size <= k
-    return ma_min_spdatalog(program, instance, target, k).status == FOUND
+    """Does a repair of size at most k exist?  The exact solvers ignore the
+    budget; the budget-capped one searches exactly up to k."""
+    result = ma_min(program, instance, target, budget=k)
+    return result.status == FOUND and result.size <= k

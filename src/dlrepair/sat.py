@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from .classify import classify
 from .engine import eval_datalog
@@ -53,9 +54,44 @@ class SatResult:
 # Equality closure
 
 
-class _UnionFind:
-    def __init__(self) -> None:
+def _rule_terms(rule: Rule):
+    for lit in rule.body:
+        if isinstance(lit, RelLiteral):
+            yield from lit.args
+        else:
+            yield lit.left
+            yield lit.right
+
+
+class _Closure:
+    """Equality classes of a rule's terms under its equality atoms and a
+    binding of variables to constants; ``conflict`` is set when two distinct
+    constants merge, and ``forced`` maps each class holding a constant to
+    that constant."""
+
+    def __init__(self, rule: Rule, binding: Mapping[str, str]):
         self.parent: dict[tuple[str, str], tuple[str, str]] = {}
+        self.conflict = False
+        for t in itertools.chain(_rule_terms(rule), rule.head_args):
+            self.find(self._node(t))
+        for name, v in binding.items():
+            self._union(("v", name), ("k", v))
+        for cmp_ in rule.comparisons():
+            if cmp_.op == "eq":
+                self._union(self._node(cmp_.left), self._node(cmp_.right))
+        self.forced: dict[tuple[str, str], str] = {}
+        for node in list(self.parent):
+            kind, name = node
+            if kind != "k":
+                continue
+            root = self.find(node)
+            if root in self.forced and self.forced[root] != name:
+                self.conflict = True
+            self.forced[root] = name
+
+    @staticmethod
+    def _node(term: Term) -> tuple[str, str]:
+        return ("v" if term.is_variable else "k", term.name)
 
     def find(self, node: tuple[str, str]) -> tuple[str, str]:
         self.parent.setdefault(node, node)
@@ -66,14 +102,22 @@ class _UnionFind:
             self.parent[node], node = root, self.parent[node]
         return root
 
-    def union(self, a: tuple[str, str], b: tuple[str, str]) -> None:
+    def _union(self, a: tuple[str, str], b: tuple[str, str]) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
 
+    def term_root(self, term: Term) -> tuple[str, str]:
+        return self.find(self._node(term))
 
-def _node(term: Term) -> tuple[str, str]:
-    return ("v" if term.is_variable else "k", term.name)
+    def instantiate(self, terms: Iterable[Term], taken: Iterable[str]) -> dict[tuple[str, str], str]:
+        """A value per class: forced classes keep their constant, and the
+        other classes of ``terms``, in order of first appearance, get
+        distinct fresh constants outside ``taken`` and the forced ones."""
+        free = list(dict.fromkeys(r for r in map(self.term_root, terms) if r not in self.forced))
+        values = dict(self.forced)
+        values.update(zip(free, fresh_constants(len(free), set(taken) | set(self.forced.values()))))
+        return values
 
 
 def sat_cqneg(rule: Rule) -> SatResult:
@@ -83,62 +127,26 @@ def sat_cqneg(rule: Rule) -> SatResult:
     Compute the equality closure of the rule's equality atoms; reject if it
     merges two distinct constants or contradicts an inequality atom.  Each
     class is instantiated by its constant if it has one, else by a distinct
-    fresh constant; the rule is satisfiable iff no ground positive atom
-    coincides with a ground negated atom, and the ground positive atoms then
-    form a witness instance.
+    fresh constant numbered by first appearance in the body; the rule is
+    satisfiable iff no ground positive atom coincides with a ground negated
+    atom, and the ground positive atoms then form a witness instance.
     """
-    uf = _UnionFind()
-    for term in _rule_terms(rule):
-        uf.find(_node(term))
+    cl = _Closure(rule, {})
+    if cl.conflict:
+        return SatResult(False)
     for cmp_ in rule.comparisons():
-        if cmp_.op == "eq":
-            uf.union(_node(cmp_.left), _node(cmp_.right))
-
-    # One constant per class at most.
-    class_const: dict[tuple[str, str], str] = {}
-    for node in list(uf.parent):
-        kind, name = node
-        if kind != "k":
-            continue
-        root = uf.find(node)
-        if root in class_const and class_const[root] != name:
+        if cmp_.op == "neq" and cl.term_root(cmp_.left) == cl.term_root(cmp_.right):
             return SatResult(False)
-        class_const[root] = name
-
-    for cmp_ in rule.comparisons():
-        if cmp_.op == "neq" and uf.find(_node(cmp_.left)) == uf.find(_node(cmp_.right)):
-            return SatResult(False)
-
-    # Instantiate classes: constants stay, the rest get distinct fresh
-    # constants numbered by first appearance in the body.
-    value: dict[tuple[str, str], str] = {}
-    counter = itertools.count()
-    for term in _rule_terms(rule):
-        root = uf.find(_node(term))
-        if root in value:
-            continue
-        if root in class_const:
-            value[root] = class_const[root]
-        else:
-            value[root] = f"_c{next(counter)}"
+    value = cl.instantiate(_rule_terms(rule), ())
 
     def ground(lit: RelLiteral) -> Fact:
-        return Fact(lit.relation, tuple(value[uf.find(_node(t))] for t in lit.args))
+        return Fact(lit.relation, tuple(value[cl.term_root(t)] for t in lit.args))
 
     positives = {ground(lit) for lit in rule.relational_literals() if lit.positive}
     negatives = {ground(lit) for lit in rule.relational_literals() if not lit.positive}
     if positives & negatives:
         return SatResult(False)
     return SatResult(True, Instance(frozenset(positives)))
-
-
-def _rule_terms(rule: Rule):
-    for lit in rule.body:
-        if isinstance(lit, RelLiteral):
-            yield from lit.args
-        else:
-            yield lit.left
-            yield lit.right
 
 
 def sat_ucqneg(program: Program) -> SatResult:
@@ -152,10 +160,11 @@ def sat_ucqneg(program: Program) -> SatResult:
     return SatResult(False)
 
 
-def full_instance(program: Program, extra: tuple[str, ...] = ()) -> Instance:
-    """All facts over the program's constants, the extras, and one fresh
-    constant, for every extensional symbol."""
-    domain = sorted(program.constants() | set(extra) | {fresh_constants(1)[0]})
+def full_instance(program: Program) -> Instance:
+    """All facts over the program's constants and one fresh constant, for
+    every extensional symbol."""
+    constants = program.constants()
+    domain = sorted(constants | set(fresh_constants(1, constants)))
     facts = [
         Fact(sym, args)
         for sym, arity in sorted(program.schema.items())
@@ -176,6 +185,17 @@ def sat_datalog_positive(program: Program) -> SatResult:
     return SatResult(False)
 
 
+def sat_query(program: Program) -> SatResult:
+    """Satisfiability by fragment: rule-wise closure for non-recursive
+    queries, the full-instance test for positive datalog."""
+    flags = classify(program)
+    if flags.is_ucq:
+        return sat_ucqneg(program)
+    if flags.is_positive_datalog:
+        return sat_datalog_positive(program)
+    raise Unsupported("satisfiability for recursive programs with negation is not decided here")
+
+
 # ---------------------------------------------------------------------------
 # Repair existence
 
@@ -193,20 +213,23 @@ def _select_symbol(program: Program) -> str:
 
 def specialize(program: Program, target: tuple[str, ...]) -> Program:
     """The Boolean query that holds iff the target is in the answer: each
-    answer rule gets equality atoms pinning its head variables to the target
-    constants.  Repeated head variables simply contribute two equalities."""
+    answer rule gets a copy for a fresh 0-ary goal symbol with equality atoms
+    pinning its head variables to the target constants.  Repeated head
+    variables simply contribute two equalities.  The original answer rules
+    are kept only when some rule body reads the answer symbol."""
     if len(target) != program.arity:
         raise ArityMismatch(f"target has length {len(target)}, answer arity is {program.arity}")
     goal = _select_symbol(program)
+    read = any(lit.relation == program.answer for r in program.rules for lit in r.relational_literals())
     rules = []
     for rule in program.rules:
-        if rule.head != program.answer:
+        if rule.head != program.answer or read:
             rules.append(rule)
-            continue
-        pins = tuple(
-            Comparison("eq", term, const(value)) for term, value in zip(rule.head_args, target)
-        )
-        rules.append(Rule(goal, (), rule.body + pins))
+        if rule.head == program.answer:
+            pins = tuple(
+                Comparison("eq", term, const(value)) for term, value in zip(rule.head_args, target)
+            )
+            rules.append(Rule(goal, (), rule.body + pins))
     return Program(tuple(rules), goal, dict(program.schema))
 
 
@@ -218,10 +241,4 @@ def ma_dec(program: Program, instance: Instance, target: tuple[str, ...]) -> boo
     interface uniformity.
     """
     del instance
-    flags = classify(program)
-    boolean = specialize(program, target)
-    if flags.is_ucq:
-        return sat_ucqneg(boolean).satisfiable
-    if flags.is_positive_datalog:
-        return sat_datalog_positive(boolean).satisfiable
-    raise Unsupported("repair existence for recursive programs with negation is not decided here")
+    return sat_query(specialize(program, target)).satisfiable

@@ -75,6 +75,39 @@ class TestRepairCommand:
         assert json.loads(plain)["size"] == json.loads(oracle)["size"]
 
 
+    def test_plain_text_found(self, triangle):
+        query, data = triangle
+        code, out, _ = invoke(["repair", "-q", query, "-d", data, "-t", "(1,2,3)"])
+        assert code == 0
+        assert out.splitlines() == [
+            "status: found",
+            "size: 3",
+            "insert: r(1,2)",
+            "insert: r(2,3)",
+            "delete: r(3,1)",
+            "witness: X=1, Y=2, Z=3",
+        ]
+
+    @pytest.mark.parametrize(
+        "program, facts, target",
+        [
+            ("r(X) :- a(X). r(X) :- r(Y), e(Y,X). ans(X) :- r(X), b(X). @answer ans.", "a(1).", "(2)"),
+            ("t(X,Y) :- e(X,Y), !bad(X). t(X,Z) :- e(X,Y), !bad(X), t(Y,Z). @answer t.", "bad(a). e(a,b).", "(a,b)"),
+        ],
+        ids=["positive", "semipositive"],
+    )
+    def test_oracle_agrees_on_datalog(self, tmp_path, program, facts, target):
+        query = tmp_path / "q.dl"
+        query.write_text(program + "\n")
+        data = tmp_path / "d.facts"
+        data.write_text(facts + "\n")
+        code, plain, _ = invoke(["repair", "-q", query, "-d", data, "-t", target, "--json"])
+        assert code == 0
+        code, oracle, _ = invoke(["repair", "-q", query, "-d", data, "-t", target, "--json", "--oracle"])
+        assert code == 0
+        assert json.loads(oracle)["size"] == json.loads(plain)["size"]
+
+
 class TestDecisionCommands:
     def test_eval_exit_codes(self, triangle):
         query, data = triangle
@@ -106,6 +139,34 @@ class TestDecisionCommands:
         query, _ = triangle
         code, out, _ = invoke(["sat", "-q", query])
         assert code == 0 and out.startswith("satisfiable")
+
+    def test_sat_positive_datalog_witness(self, tmp_path):
+        query = tmp_path / "tc.dl"
+        query.write_text("t(X) :- e(X,a). t(X) :- e(X,Y), t(Y). @answer t.\n")
+        code, out, _ = invoke(["sat", "-q", query])
+        assert code == 0
+        assert out.splitlines() == [
+            "satisfiable",
+            "witness: e(_c0,_c0)",
+            "witness: e(_c0,a)",
+            "witness: e(a,_c0)",
+            "witness: e(a,a)",
+        ]
+
+    def test_sat_semipositive_recursive_is_unsupported(self, tmp_path):
+        query = tmp_path / "sp.dl"
+        query.write_text("t(X) :- e(X). t(X) :- f(X,Y), t(Y), !u(X). @answer t.\n")
+        code, _, err = invoke(["sat", "-q", query])
+        assert code == 65
+        assert err.startswith("error:")
+
+    def test_decide_answer_read_by_rule_body(self, tmp_path):
+        query = tmp_path / "reach.dl"
+        query.write_text("t(X) :- a(X), X = c. t(X) :- t(Y), e(Y,X).\n")
+        data = tmp_path / "empty.facts"
+        data.write_text("")
+        code, out, _ = invoke(["decide", "-q", query, "-d", data, "-t", "(d)"])
+        assert code == 0 and out.strip() == "true"
 
     def test_classify_command(self, triangle):
         query, _ = triangle
@@ -160,6 +221,15 @@ class TestErrors:
 
     def test_missing_file(self):
         assert invoke(["sat", "-q", "/nonexistent/file.dl"])[0] == 65
+
+    def test_unsafe_rule_rejected_by_parser(self, tmp_path):
+        query = tmp_path / "unsafe.dl"
+        query.write_text("ans(X) :- p(X), !q(X,Y).\n")
+        data = tmp_path / "p.facts"
+        data.write_text("p(a).\n")
+        code, _, err = invoke(["eval", "-q", query, "-d", data, "-t", "(a)"])
+        assert code == 65
+        assert "variable Y occurs in no positive literal" in err
 
     def test_unsupported_fragment(self, tmp_path):
         query = tmp_path / "spdec.dl"

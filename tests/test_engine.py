@@ -7,13 +7,17 @@ from dlrepair import (
     ArityMismatch,
     Fact,
     Instance,
+    RelLiteral,
+    Rule,
     eval_answers,
     eval_datalog,
     eval_datalog_naive,
     eval_member,
+    make_program,
     parse_instance,
     parse_program,
     rename,
+    var,
 )
 from randgen import (
     random_datalog_instance,
@@ -43,6 +47,28 @@ class TestEvalMember:
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
             eval_member(TRIANGLE, Instance.of(), ("1", "2"))
+
+
+class TestUnsafeRules:
+    # ans(X) :- p(X), !q(X,Y).  Y occurs only under negation.
+    PROGRAM = make_program(
+        [
+            Rule(
+                "ans",
+                (var("X"),),
+                (RelLiteral("p", (var("X"),)), RelLiteral("q", (var("X"), var("Y")), positive=False)),
+            )
+        ],
+        validate=False,
+    )
+
+    def test_member_raises(self):
+        with pytest.raises(ValueError, match="unsafe rule"):
+            eval_member(self.PROGRAM, parse_instance("p(a)."), ("a",))
+
+    def test_answers_raise(self):
+        with pytest.raises(ValueError, match="unsafe rule"):
+            eval_answers(self.PROGRAM, parse_instance("p(a)."))
 
 
 class TestEvalDatalog:

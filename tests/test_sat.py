@@ -9,10 +9,12 @@ from dlrepair import (
     eval_answers,
     eval_member,
     ma_dec,
+    ma_min,
     ma_min_ucqneg,
     parse_program,
     sat_cqneg,
     sat_datalog_positive,
+    sat_query,
     sat_ucqneg,
     specialize,
 )
@@ -95,6 +97,21 @@ class TestSatDatalogPositive:
             sat_datalog_positive(parse_program("ans(X) :- e(X), !u(X)."))
 
 
+class TestSatQuery:
+    def test_routes_non_recursive_query_to_closure(self):
+        program = parse_program("ans(X) :- r(X,Y).")
+        assert sat_query(program) == sat_ucqneg(program)
+
+    def test_routes_positive_datalog_to_full_instance(self):
+        program = parse_program("t(X,Y) :- e(X,Y). t(X,Z) :- e(X,Y), t(Y,Z). @answer t.")
+        assert sat_query(program) == sat_datalog_positive(program)
+
+    def test_unsupported_for_recursion_with_negation(self):
+        program = parse_program("t(X) :- e(X). t(X) :- f(X,Y), t(Y), !u(X). @answer t.")
+        with pytest.raises(Unsupported):
+            sat_query(program)
+
+
 class TestMaDec:
     def test_conflicting_target(self):
         assert not ma_dec(TRIANGLE, Instance.of(), ("1", "1", "1"))
@@ -148,3 +165,18 @@ class TestMaDec:
             target = random_target(rng, program.arity)
             found = ma_min_ucqneg(program, instance, target).status == "found"
             assert ma_dec(program, instance, target) == found
+
+    def test_answer_predicate_read_by_a_rule_body(self):
+        program = parse_program("t(X) :- a(X), X = c. t(X) :- t(Y), e(Y,X).")
+        assert ma_dec(program, Instance.of(), ("d",))
+        assert ma_min(program, Instance.of(), ("d",)).size == 2
+        specialized = specialize(program, ("d",))
+        assert set(program.rules) <= set(specialized.rules)
+
+    def test_transitive_closure_with_answer_directive(self):
+        program = parse_program(
+            "h(X,Y) :- e(X,Y), X = a. t(X,Y) :- h(X,Y). t(X,Z) :- t(X,Y), e(Y,Z). @answer t."
+        )
+        for target, exists in [(("a", "d"), True), (("b", "d"), False)]:
+            assert ma_dec(program, Instance.of(), target) == exists
+            assert (ma_min(program, Instance.of(), target).status == "found") == exists
