@@ -1,10 +1,11 @@
 """Query evaluation.
 
-Non-recursive queries with negated extensional atoms are evaluated by
-assignment search (a backtracking join over the instance); datalog programs,
-including semi-positive ones, by a bottom-up fixpoint.  The default fixpoint
-is semi-naive (delta-driven); a naive fixpoint is kept alongside as the
-independent reference the tests compare against.
+Answers come from a bottom-up fixpoint whose rules fire by assignment
+search (a backtracking join over the instance).  The default fixpoint is
+semi-naive (delta-driven); a naive fixpoint is kept alongside as the
+independent reference the tests compare against.  Membership in a
+non-recursive query's answer skips the fixpoint: the search is pinned to
+the target and stops at its first solution.
 """
 
 from __future__ import annotations
@@ -251,50 +252,40 @@ def eval_datalog(program: Program, instance: Instance) -> dict[str, AnswerSet]:
     """Least fixpoint by semi-naive iteration.
 
     Negative literals and comparisons are tested against the (fixed)
-    extensional instance and constant (in)equality.
+    extensional instance and constant (in)equality.  Each round reads the
+    derived relations as they stood when it began; its new tuples are added
+    once it ends.
     """
     _datalog_guard(program)
     _check_instance(program, instance)
     edb = _index_instance(instance)
     idb_syms = program.idb
-    known: dict[str, set[tuple[str, ...]]] = {sym: set() for sym in idb_syms}
+    derived = {sym: _Relation() for sym in idb_syms}
 
-    def fire(rule: Rule, idb_view: dict[str, _Relation], delta=None) -> set[tuple[str, ...]]:
-        out: set[tuple[str, ...]] = set()
-        for g in rule_solutions(rule, edb, idb_view, delta=delta):
-            out.add(tuple(g[t.name] for t in rule.head_args))
-        return out
+    def fire(rule: Rule, new: dict[str, set[tuple[str, ...]]], delta=None) -> None:
+        seen = derived[rule.head].tuples
+        for g in rule_solutions(rule, edb, derived, delta=delta):
+            head = tuple(g[t.name] for t in rule.head_args)
+            if head not in seen:
+                new[rule.head].add(head)
 
-    empty_view = {sym: _EMPTY_RELATION for sym in idb_syms}
     delta: dict[str, set[tuple[str, ...]]] = {sym: set() for sym in idb_syms}
     for rule in program.rules:
-        for head in fire(rule, empty_view):
-            if head not in known[rule.head]:
-                known[rule.head].add(head)
-                delta[rule.head].add(head)
+        fire(rule, delta)
 
     while any(delta.values()):
-        full_view = {sym: _Relation(known[sym]) for sym in idb_syms}
+        for sym, tuples in delta.items():
+            for t in tuples:
+                derived[sym].add(t)
         delta_view = {sym: _Relation(delta[sym]) for sym in idb_syms}
         new: dict[str, set[tuple[str, ...]]] = {sym: set() for sym in idb_syms}
         for rule in program.rules:
-            idb_positions = [
-                i
-                for i, lit in enumerate(rule.body)
-                if isinstance(lit, RelLiteral) and lit.positive and lit.relation in idb_syms
-            ]
-            for pos in idb_positions:
-                sym = rule.body[pos].relation
-                if not delta[sym]:
-                    continue
-                for head in fire(rule, full_view, delta=(pos, delta_view[sym])):
-                    if head not in known[rule.head]:
-                        new[rule.head].add(head)
-        for sym in idb_syms:
-            known[sym] |= new[sym]
+            for pos, lit in enumerate(rule.body):
+                if isinstance(lit, RelLiteral) and lit.positive and delta.get(lit.relation):
+                    fire(rule, new, delta=(pos, delta_view[lit.relation]))
         delta = new
 
-    return {sym: AnswerSet(sym, frozenset(tuples)) for sym, tuples in known.items()}
+    return {sym: AnswerSet(sym, frozenset(rel.tuples)) for sym, rel in derived.items()}
 
 
 def eval_datalog_naive(program: Program, instance: Instance) -> dict[str, AnswerSet]:
@@ -324,8 +315,7 @@ def eval_datalog_naive(program: Program, instance: Instance) -> dict[str, Answer
 
 def eval_member(program: Program, instance: Instance, target: tuple[str, ...]) -> bool:
     """Is the target tuple in the program's answer on this instance?"""
-    if len(target) != program.arity:
-        raise ArityMismatch(f"target has length {len(target)}, answer arity is {program.arity}")
+    program.check_target(target)
     flags = classify(program)
     if flags.is_ucq:
         _check_instance(program, instance)
@@ -342,13 +332,4 @@ def eval_member(program: Program, instance: Instance, target: tuple[str, ...]) -
 
 def eval_answers(program: Program, instance: Instance) -> AnswerSet:
     """The full answer relation."""
-    flags = classify(program)
-    if flags.is_ucq:
-        _check_instance(program, instance)
-        edb = _index_instance(instance)
-        tuples: set[tuple[str, ...]] = set()
-        for rule in program.rules:
-            for g in rule_solutions(rule, edb):
-                tuples.add(tuple(g[t.name] for t in rule.head_args))
-        return AnswerSet(program.answer, frozenset(tuples))
     return eval_datalog(program, instance)[program.answer]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 # Fresh constants live in a lexical space the parser reserves (user constants
 # may not start with "_"), so they can never collide with user data.
@@ -96,15 +96,7 @@ class Rule:
 
     @property
     def body_vars(self) -> frozenset[str]:
-        out: set[str] = set()
-        for lit in self.body:
-            if isinstance(lit, RelLiteral):
-                out.update(t.name for t in lit.args if t.is_variable)
-            else:
-                for t in (lit.left, lit.right):
-                    if t.is_variable:
-                        out.add(t.name)
-        return frozenset(out)
+        return frozenset(t.name for t in body_terms(self.body) if t.is_variable)
 
     @property
     def all_vars(self) -> frozenset[str]:
@@ -153,45 +145,94 @@ class Program:
         return self.arities[self.answer]
 
     def constants(self) -> frozenset[str]:
-        out: set[str] = set()
-        for r in self.rules:
-            for lit in r.body:
-                if isinstance(lit, RelLiteral):
-                    out.update(t.name for t in lit.args if not t.is_variable)
-                else:
-                    for t in (lit.left, lit.right):
-                        if not t.is_variable:
-                            out.add(t.name)
-        return frozenset(out)
+        return frozenset(t.name for r in self.rules for t in body_terms(r.body) if not t.is_variable)
+
+    def check_target(self, target: tuple[str, ...]) -> None:
+        """Raise ArityMismatch unless the target fits the answer's arity."""
+        if len(target) != self.arity:
+            raise ArityMismatch(f"target has length {len(target)}, answer arity is {self.arity}")
+
+
+def body_terms(body: Iterable[Literal]) -> Iterator[Term]:
+    """The terms of a rule body, literal by literal, in order."""
+    for lit in body:
+        if isinstance(lit, RelLiteral):
+            yield from lit.args
+        else:
+            yield lit.left
+            yield lit.right
+
+
+class _Closure:
+    """Equality classes of a rule's terms under its equality atoms and a
+    binding of variables to constants; ``conflict`` is set when two distinct
+    constants merge, and ``forced`` maps each class holding a constant to
+    that constant."""
+
+    def __init__(self, rule: Rule, binding: Mapping[str, str]):
+        self.parent: dict[tuple[str, str], tuple[str, str]] = {}
+        self.conflict = False
+        for t in itertools.chain(body_terms(rule.body), rule.head_args):
+            self.find(self._node(t))
+        for name, v in binding.items():
+            self._union(("v", name), ("k", v))
+        for cmp_ in rule.comparisons():
+            if cmp_.op == "eq":
+                self._union(self._node(cmp_.left), self._node(cmp_.right))
+        self.forced: dict[tuple[str, str], str] = {}
+        for node in list(self.parent):
+            kind, name = node
+            if kind != "k":
+                continue
+            root = self.find(node)
+            if root in self.forced and self.forced[root] != name:
+                self.conflict = True
+            self.forced[root] = name
+
+    @staticmethod
+    def _node(term: Term) -> tuple[str, str]:
+        return ("v" if term.is_variable else "k", term.name)
+
+    def find(self, node: tuple[str, str]) -> tuple[str, str]:
+        self.parent.setdefault(node, node)
+        root = node
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[node] != root:
+            self.parent[node], node = root, self.parent[node]
+        return root
+
+    def _union(self, a: tuple[str, str], b: tuple[str, str]) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def term_root(self, term: Term) -> tuple[str, str]:
+        return self.find(self._node(term))
+
+    def instantiate(self, terms: Iterable[Term], taken: Iterable[str]) -> dict[tuple[str, str], str]:
+        """A value per class: forced classes keep their constant, and the
+        other classes of ``terms``, in order of first appearance, get
+        distinct fresh constants outside ``taken`` and the forced ones."""
+        free = list(dict.fromkeys(r for r in map(self.term_root, terms) if r not in self.forced))
+        values = dict(self.forced)
+        values.update(zip(free, fresh_constants(len(free), set(taken) | set(self.forced.values()))))
+        return values
 
 
 def ungrounded_vars(rule: Rule) -> frozenset[str]:
-    """Variables not reachable from a positive relational literal or a
-    constant through the rule's equality atoms.
+    """Variables whose equality class holds no constant and no variable of a
+    positive relational literal.
 
     Safe rules have none: such variables are the ones an assignment search
     could never bind, and evaluation would be domain-dependent for them.
     """
-    grounded: set[str] = set()
+    cl = _Closure(rule, {})
+    grounded = set(cl.forced)
     for lit in rule.relational_literals():
         if lit.positive:
-            grounded.update(t.name for t in lit.args if t.is_variable)
-    changed = True
-    while changed:
-        changed = False
-        for cmp_ in rule.comparisons():
-            if cmp_.op != "eq":
-                continue
-            l, r = cmp_.left, cmp_.right
-            l_ok = (not l.is_variable) or l.name in grounded
-            r_ok = (not r.is_variable) or r.name in grounded
-            if l_ok and r.is_variable and r.name not in grounded:
-                grounded.add(r.name)
-                changed = True
-            if r_ok and l.is_variable and l.name not in grounded:
-                grounded.add(l.name)
-                changed = True
-    return rule.all_vars - grounded
+            grounded.update(cl.term_root(t) for t in lit.args)
+    return frozenset(name for name in rule.all_vars if cl.term_root(var(name)) not in grounded)
 
 
 def validate_program(program: Program) -> None:
@@ -284,9 +325,6 @@ class Instance:
         return frozenset(a for f in self.facts for a in f.args)
 
 
-EMPTY_INSTANCE = Instance(frozenset())
-
-
 @dataclass(frozen=True, slots=True)
 class Update:
     """A pair of fact sets to insert and delete.  Valid relative to an
@@ -299,9 +337,6 @@ class Update:
     @classmethod
     def of(cls, insertions: Iterable[Fact] = (), deletions: Iterable[Fact] = ()) -> "Update":
         return cls(frozenset(insertions), frozenset(deletions))
-
-
-EMPTY_UPDATE = Update(frozenset(), frozenset())
 
 
 def check_update(instance: Instance, update: Update) -> None:
@@ -377,6 +412,13 @@ def fresh_constants(count: int, taken: Iterable[str] = ()) -> tuple[str, ...]:
     taken = set(taken)
     names = (f"{FRESH_PREFIX}{i}" for i in itertools.count())
     return tuple(itertools.islice((n for n in names if n not in taken), count))
+
+
+def facts_over(relations: Iterable[str], arities: Mapping[str, int], domain: Sequence[str]) -> list[Fact]:
+    """Every fact over ``domain`` for each of ``relations``, in canonical order."""
+    return sorted(
+        Fact(sym, args) for sym in relations for args in itertools.product(domain, repeat=arities[sym])
+    )
 
 
 def is_fresh_constant(name: str) -> bool:

@@ -1,7 +1,8 @@
 """Text grammars for programs, fact databases and tuples.
 
 This is the only place raw text becomes model values, and the only place
-model values become text again.  Grammar summary:
+model values become text again.  The token grammar is stated once, in the
+regular expression ``_TOKEN_RE``; the statement grammar in summary:
 
 * one statement per ``.``; ``%`` starts a line comment
 * rule:       ``head :- lit, lit, ... .`` with head ``name(t1,...,tk)`` or
@@ -35,6 +36,7 @@ from .model import (
     RelLiteral,
     Rule,
     Term,
+    body_terms,
     const,
     is_fresh_constant,
     ungrounded_vars,
@@ -80,96 +82,47 @@ class _Token:
     column: int
 
 
-_PUNCT = {
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ",": "COMMA",
-    ".": "DOT",
-    "!": "BANG",
-    "=": "EQ",
-    "@": "AT",
-}
+# One named group per token kind.  Positions come from match offsets; only
+# NEWLINE starts a line, so a backslash-escaped newline in a string does not.
+_TOKEN_RE = re.compile(
+    r"""(?P<IDENT>\w+)
+    |(?P<SKIP>[^\S\n]+|%[^\n]*)
+    |(?P<NEQ>!=)
+    |(?P<PUNCT>[(),.!=@])
+    |(?P<IF>:-)
+    |(?P<NEWLINE>\n)
+    |(?P<STRING>"(?:[^"\\\n]|\\[\s\S])*")
+    |(?P<BAD>[\s\S])""",
+    re.VERBOSE,
+)
+_ESCAPE_RE = re.compile(r"\\([\s\S])")
+_PUNCT = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT", "!": "BANG", "=": "EQ", "@": "AT"}
+_BAD_MESSAGE = {":": "expected ':-'", '"': "unterminated string"}
 
 
 def _tokenize(text: str, allow_fresh: bool) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "SKIP":
             continue
-        if c.isspace():
-            i += 1
-            col += 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
             continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c == ":":
-            if text[i : i + 2] == ":-":
-                tokens.append(_Token("IF", ":-", start_line, start_col))
-                i += 2
-                col += 2
-                continue
-            raise SourceError("expected ':-'", start_line, start_col)
-        if c == "!":
-            if text[i : i + 2] == "!=":
-                tokens.append(_Token("NEQ", "!=", start_line, start_col))
-                i += 2
-                col += 2
-                continue
-            tokens.append(_Token("BANG", "!", start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c in _PUNCT:
-            tokens.append(_Token(_PUNCT[c], c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c == '"':
-            i += 1
-            col += 1
-            chars: list[str] = []
-            while i < n and text[i] != '"':
-                if text[i] == "\n":
-                    raise SourceError("unterminated string", start_line, start_col)
-                if text[i] == "\\" and i + 1 < n:
-                    chars.append(text[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                chars.append(text[i])
-                i += 1
-                col += 1
-            if i >= n:
-                raise SourceError("unterminated string", start_line, start_col)
-            i += 1
-            col += 1
-            value = "".join(chars)
+        value, column = m.group(), m.start() - line_start + 1
+        if kind == "BAD":
+            raise SourceError(_BAD_MESSAGE.get(value, f"unexpected character {value!r}"), line, column)
+        if kind == "PUNCT":
+            kind = _PUNCT[value]
+        elif kind == "STRING":
+            value = _ESCAPE_RE.sub(r"\1", value[1:-1])
             if value.startswith("_"):
-                raise SourceError("constants starting with '_' are reserved", start_line, start_col)
-            tokens.append(_Token("STRING", value, start_line, start_col))
-            continue
-        if c.isalnum() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word.startswith("_") and not (allow_fresh and is_fresh_constant(word)):
-                raise SourceError("names starting with '_' are reserved", start_line, start_col)
-            tokens.append(_Token("IDENT", word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise SourceError(f"unexpected character {c!r}", start_line, start_col)
-    tokens.append(_Token("EOF", "", line, col))
+                raise SourceError("constants starting with '_' are reserved", line, column)
+        elif kind == "IDENT" and value.startswith("_") and not (allow_fresh and is_fresh_constant(value)):
+            raise SourceError("names starting with '_' are reserved", line, column)
+        tokens.append(_Token(kind, value, line, column))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -313,13 +266,7 @@ def parse_program(text: str) -> Program:
                 break
             if nxt.kind != "COMMA":
                 raise SourceError("expected ',' or '.'", nxt.line, nxt.column)
-        for lit in body:
-            if isinstance(lit, RelLiteral):
-                used_vars.update(t.name for t in lit.args if t.is_variable)
-            else:
-                for t in (lit.left, lit.right):
-                    if t.is_variable:
-                        used_vars.add(t.name)
+        used_vars.update(t.name for t in body_terms(body) if t.is_variable)
         head_args, extra = _desugar_head(head_terms, used_vars)
         see_arity(head_name, len(head_args), head_tok)
         rule = Rule(head_name, head_args, tuple(extra) + tuple(body))
@@ -385,23 +332,12 @@ def parse_instance(text: str) -> Instance:
 
 def parse_tuple(text: str) -> tuple[str, ...]:
     p = _Parser(text)
-    p.expect("LPAREN", "'('")
-    values: list[str] = []
-    if p.peek().kind == "RPAREN":
-        p.next()
-    else:
-        while True:
-            t, tok = p.term()
-            if t.is_variable:
-                raise SourceError("variables are not allowed in a tuple", tok.line, tok.column)
-            values.append(t.name)
-            nxt = p.next()
-            if nxt.kind == "RPAREN":
-                break
-            if nxt.kind != "COMMA":
-                raise SourceError("expected ',' or ')'", nxt.line, nxt.column)
+    terms, toks = p.term_list()
+    for t, tok in zip(terms, toks):
+        if t.is_variable:
+            raise SourceError("variables are not allowed in a tuple", tok.line, tok.column)
     p.expect("EOF", "end of input")
-    return tuple(values)
+    return tuple(t.name for t in terms)
 
 
 def parse_fact(text: str, allow_fresh: bool = False) -> Fact:

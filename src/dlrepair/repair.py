@@ -36,13 +36,15 @@ from .model import (
     Rule,
     Term,
     Update,
+    _Closure,
     active_domain,
     canonical_key,
+    facts_over,
     fresh_constants,
     update_size,
     var,
 )
-from .sat import NotPositiveDatalog, NotUcq, _Closure
+from .sat import NotPositiveDatalog, NotUcq
 
 FOUND = "found"
 NO_REPAIR = "no_repair"
@@ -93,12 +95,10 @@ class SearchDomain:
     fragment-dependent number of fresh constants."""
 
     constants: tuple[str, ...]
-    fresh: tuple[str, ...]
 
     @classmethod
     def _build(cls, base: set[str], fresh_count: int) -> "SearchDomain":
-        fresh = fresh_constants(fresh_count, base)
-        return cls(tuple(sorted(base)) + fresh, fresh)
+        return cls(tuple(sorted(base)) + fresh_constants(fresh_count, base))
 
     @classmethod
     def for_ucq(cls, program: Program, instance: Instance, target: tuple[str, ...]) -> "SearchDomain":
@@ -456,8 +456,7 @@ def ma_min_ucqneg(
     flags = classify(program)
     if not flags.is_ucq:
         raise NotUcq("the exhaustive-assignment solver needs a non-recursive query")
-    if len(target) != program.arity:
-        raise ArityMismatch(f"target has length {len(target)}, answer arity is {program.arity}")
+    program.check_target(target)
     _check_instance(program, instance)
     domain = SearchDomain.for_ucq(program, instance, target)
     best = None
@@ -537,15 +536,6 @@ def _negative_relations(program: Program) -> set[str]:
     }
 
 
-def _facts_over(relations: set[str], arities: Mapping[str, int], domain: Sequence[str]) -> list[Fact]:
-    out = [
-        Fact(sym, args)
-        for sym in sorted(relations)
-        for args in itertools.product(domain, repeat=arities[sym])
-    ]
-    return sorted(out)
-
-
 # ---------------------------------------------------------------------------
 # Datalog solvers
 
@@ -556,12 +546,11 @@ def ma_min_datalog_positive(program: Program, instance: Instance, target: tuple[
     complete: any satisfying instance collapses onto them."""
     if not classify(program).is_positive_datalog:
         raise NotPositiveDatalog("program contains negation or inequality atoms")
-    if len(target) != program.arity:
-        raise ArityMismatch(f"target has length {len(target)}, answer arity is {program.arity}")
+    program.check_target(target)
     domain = SearchDomain.for_positive_datalog(program, instance, target)
     pool = [
         f
-        for f in _facts_over(_positive_relations(program), program.arities, domain.constants)
+        for f in facts_over(_positive_relations(program), program.arities, domain.constants)
         if f not in instance.facts
     ]
     everything = Instance(instance.facts | set(pool))
@@ -582,14 +571,13 @@ def ma_min_spdatalog(
     flags = classify(program)
     if not flags.is_semipositive_datalog:
         raise NotSemipositive("negation on derived symbols is not supported")
-    if len(target) != program.arity:
-        raise ArityMismatch(f"target has length {len(target)}, answer arity is {program.arity}")
+    program.check_target(target)
     if budget < 0:
         raise ValueError("budget must be non-negative")
     domain = SearchDomain.for_spdatalog(program, instance, target, budget)
     ins_pool = [
         f
-        for f in _facts_over(_positive_relations(program), program.arities, domain.constants)
+        for f in facts_over(_positive_relations(program), program.arities, domain.constants)
         if f not in instance.facts
     ]
     negated = _negative_relations(program)
@@ -614,7 +602,7 @@ def oracle_ma_min(
     is the ground truth the real solvers are tested against."""
     ins_pool = [
         f
-        for f in _facts_over(set(program.schema), program.arities, domain.constants)
+        for f in facts_over(program.schema, program.arities, domain.constants)
         if f not in instance.facts
     ]
     del_pool = sorted(instance.facts)

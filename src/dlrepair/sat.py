@@ -14,20 +14,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .classify import classify
 from .engine import eval_datalog
 from .model import (
-    ArityMismatch,
     Comparison,
     Fact,
     Instance,
     Program,
     RelLiteral,
     Rule,
-    Term,
+    _Closure,
+    body_terms,
     const,
+    facts_over,
     fresh_constants,
 )
 
@@ -50,76 +50,6 @@ class SatResult:
     witness: Instance | None = None
 
 
-# ---------------------------------------------------------------------------
-# Equality closure
-
-
-def _rule_terms(rule: Rule):
-    for lit in rule.body:
-        if isinstance(lit, RelLiteral):
-            yield from lit.args
-        else:
-            yield lit.left
-            yield lit.right
-
-
-class _Closure:
-    """Equality classes of a rule's terms under its equality atoms and a
-    binding of variables to constants; ``conflict`` is set when two distinct
-    constants merge, and ``forced`` maps each class holding a constant to
-    that constant."""
-
-    def __init__(self, rule: Rule, binding: Mapping[str, str]):
-        self.parent: dict[tuple[str, str], tuple[str, str]] = {}
-        self.conflict = False
-        for t in itertools.chain(_rule_terms(rule), rule.head_args):
-            self.find(self._node(t))
-        for name, v in binding.items():
-            self._union(("v", name), ("k", v))
-        for cmp_ in rule.comparisons():
-            if cmp_.op == "eq":
-                self._union(self._node(cmp_.left), self._node(cmp_.right))
-        self.forced: dict[tuple[str, str], str] = {}
-        for node in list(self.parent):
-            kind, name = node
-            if kind != "k":
-                continue
-            root = self.find(node)
-            if root in self.forced and self.forced[root] != name:
-                self.conflict = True
-            self.forced[root] = name
-
-    @staticmethod
-    def _node(term: Term) -> tuple[str, str]:
-        return ("v" if term.is_variable else "k", term.name)
-
-    def find(self, node: tuple[str, str]) -> tuple[str, str]:
-        self.parent.setdefault(node, node)
-        root = node
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[node] != root:
-            self.parent[node], node = root, self.parent[node]
-        return root
-
-    def _union(self, a: tuple[str, str], b: tuple[str, str]) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def term_root(self, term: Term) -> tuple[str, str]:
-        return self.find(self._node(term))
-
-    def instantiate(self, terms: Iterable[Term], taken: Iterable[str]) -> dict[tuple[str, str], str]:
-        """A value per class: forced classes keep their constant, and the
-        other classes of ``terms``, in order of first appearance, get
-        distinct fresh constants outside ``taken`` and the forced ones."""
-        free = list(dict.fromkeys(r for r in map(self.term_root, terms) if r not in self.forced))
-        values = dict(self.forced)
-        values.update(zip(free, fresh_constants(len(free), set(taken) | set(self.forced.values()))))
-        return values
-
-
 def sat_cqneg(rule: Rule) -> SatResult:
     """Satisfiability of a single rule whose body holds only extensional
     literals and comparisons.
@@ -137,7 +67,7 @@ def sat_cqneg(rule: Rule) -> SatResult:
     for cmp_ in rule.comparisons():
         if cmp_.op == "neq" and cl.term_root(cmp_.left) == cl.term_root(cmp_.right):
             return SatResult(False)
-    value = cl.instantiate(_rule_terms(rule), ())
+    value = cl.instantiate(body_terms(rule.body), ())
 
     def ground(lit: RelLiteral) -> Fact:
         return Fact(lit.relation, tuple(value[cl.term_root(t)] for t in lit.args))
@@ -165,12 +95,7 @@ def full_instance(program: Program) -> Instance:
     every extensional symbol."""
     constants = program.constants()
     domain = sorted(constants | set(fresh_constants(1, constants)))
-    facts = [
-        Fact(sym, args)
-        for sym, arity in sorted(program.schema.items())
-        for args in itertools.product(domain, repeat=arity)
-    ]
-    return Instance(frozenset(facts))
+    return Instance(frozenset(facts_over(program.schema, program.schema, domain)))
 
 
 def sat_datalog_positive(program: Program) -> SatResult:
@@ -217,8 +142,7 @@ def specialize(program: Program, target: tuple[str, ...]) -> Program:
     pinning its head variables to the target constants.  Repeated head
     variables simply contribute two equalities.  The original answer rules
     are kept only when some rule body reads the answer symbol."""
-    if len(target) != program.arity:
-        raise ArityMismatch(f"target has length {len(target)}, answer arity is {program.arity}")
+    program.check_target(target)
     goal = _select_symbol(program)
     read = any(lit.relation == program.answer for r in program.rules for lit in r.relational_literals())
     rules = []

@@ -280,8 +280,9 @@ def random_datalog_program(rng: random.Random, semipositive: bool) -> Program:
     return make_program(rules, "ans", extra_schema={"e": 2, "u": 1})
 
 
-def random_datalog_instance(rng: random.Random, max_facts: int = 10) -> Instance:
-    consts = ("a", "b", "c", "d", "e")
+def random_datalog_instance(
+    rng: random.Random, max_facts: int = 10, consts: tuple[str, ...] = ("a", "b", "c", "d", "e")
+) -> Instance:
     facts = set()
     for _ in range(rng.randint(0, max_facts)):
         if rng.random() < 0.7:

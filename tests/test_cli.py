@@ -1,10 +1,13 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dlrepair
 from dlrepair import apply_update, eval_member, parse_fact, parse_instance, parse_program, Update
 from dlrepair.cli import run
 
@@ -245,6 +248,7 @@ def test_module_entry_point(triangle):
         [sys.executable, "-m", "dlrepair", "size", "-q", str(query), "-d", str(data), "-t", "(1,2,3)"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(dlrepair.__file__).parent.parent)},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"

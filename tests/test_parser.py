@@ -8,10 +8,14 @@ from dlrepair import (
     Fact,
     Instance,
     NegatedIdb,
+    RelLiteral,
+    Rule,
     SourceError,
     UndefinedIdb,
     UnsafeRule,
     VariableInFact,
+    const,
+    make_program,
     parse_fact,
     parse_instance,
     parse_program,
@@ -19,7 +23,9 @@ from dlrepair import (
     render_fact,
     render_instance,
     render_program,
+    render_rule,
     render_tuple,
+    var,
 )
 from randgen import random_instance, random_ucqneg_program
 
@@ -102,6 +108,67 @@ class TestParseProgram:
         assert program.schema == {"marker": 0}
 
 
+TOKEN_ERRORS = [
+    ("ans(X) : r(X).", "expected ':-'", 1, 8),
+    ('ans(X) :- r(X), X = "ab\ncd".', "unterminated string", 1, 21),
+    ('ans(X) :- r(X), X = "abc', "unterminated string", 1, 21),
+    ('ans(X) :- r(X), X = "_a".', "constants starting with '_' are reserved", 1, 21),
+    ("ans(X) :- r(_x).", "names starting with '_' are reserved", 1, 13),
+    ("ans(X) :- r(X) ; s(X).", "unexpected character ';'", 1, 16),
+    ('ans(X) :- r(X, "a\\"b"), s(#).', "unexpected character '#'", 1, 27),
+    # End of input after a trailing comment sits at the true end of the line.
+    ("ans(X) :- r(X) % no dot", "expected ',' or '.'", 1, 24),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", TOKEN_ERRORS)
+def test_token_error_positions(text, message, line, column):
+    with pytest.raises(SourceError) as err:
+        parse_program(text)
+    assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
+
+
+X, Y, Z, W = var("X"), var("Y"), var("Z"), var("W")
+
+
+def p(t):
+    return RelLiteral("p", (t,))
+
+
+def not_q(t):
+    return RelLiteral("q", (t,), False)
+
+
+def eq(a, b):
+    return Comparison("eq", a, b)
+
+
+SAFETY_CASES = [
+    ("ans(X) :- p(Y), X = Z, Z = Y.", (p(Y), eq(X, Z), eq(Z, Y)), None),
+    ("ans(X) :- p(X), Y = a, !q(Y).", (p(X), eq(Y, const("a")), not_q(Y)), None),
+    ("ans(X) :- p(Y), X = a.", (p(Y), eq(X, const("a"))), None),
+    ("ans(X) :- p(X), !q(Y), Y = Z, Z = X.", (p(X), not_q(Y), eq(Y, Z), eq(Z, X)), None),
+    ("ans(X) :- p(X), !q(Z), Z = W.", (p(X), not_q(Z), eq(Z, W)), "W"),
+    ("ans(X) :- p(X), X != Y.", (p(X), Comparison("neq", X, Y)), "Y"),
+]
+
+
+@pytest.mark.parametrize("text, body, loose", SAFETY_CASES)
+def test_safety_through_equality_chains(text, body, loose):
+    """The parser and make_program agree on safety, which equality chains
+    carry from a positive literal or a constant to every variable."""
+    rule = Rule("ans", (X,), body)
+    assert render_rule(rule) == text
+    if loose is None:
+        assert parse_program(text).rules == (rule,)
+        make_program([rule])
+        return
+    with pytest.raises(UnsafeRule, match=f"variable {loose} occurs in no positive literal"):
+        parse_program(text)
+    with pytest.raises(ValueError, match=f"variable '{loose}' of ans occurs in no positive literal"):
+        make_program([rule])
+
+
 class TestParseInstance:
     def test_basic(self):
         instance = parse_instance("r(a,b). r(b,c).")
@@ -136,6 +203,11 @@ class TestParseTuple:
 
     def test_numeric_constants(self):
         assert parse_tuple("(1,2,3)") == ("1", "2", "3")
+
+    def test_list_parses_before_variable_check(self):
+        with pytest.raises(SourceError) as err:
+            parse_tuple("(X,,)")
+        assert (err.value.message, err.value.line, err.value.column) == ("expected a term, found ','", 1, 4)
 
 
 class TestParseFact:

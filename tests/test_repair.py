@@ -26,7 +26,14 @@ from dlrepair import (
     parse_program,
     repair_for_assignment,
 )
-from randgen import planted_input, random_instance, random_target, random_ucqneg_program
+from randgen import (
+    planted_input,
+    random_datalog_instance,
+    random_datalog_program,
+    random_instance,
+    random_target,
+    random_ucqneg_program,
+)
 
 TRIANGLE = parse_program("s(X,Y,Z) :- r(X,Y), r(Y,Z), !r(Z,X).")
 
@@ -280,6 +287,28 @@ class TestOracle:
             assert (oracle.size if oracle.status == "found" else None) == (
                 solver.size if solver.status == "found" else None
             )
+
+    def test_matches_datalog_solvers_on_small_inputs(self):
+        """Budget 2 bounds both searches, so the semi-positive solver and the
+        oracle must agree outright; the positive solver is exact, so the
+        oracle must match it wherever its repair fits in the budget."""
+        rng = random.Random(33)
+        consts = ("a", "b", "c")
+        for i in range(30):
+            semipositive = i % 2 == 0
+            program = random_datalog_program(rng, semipositive)
+            instance = random_datalog_instance(rng, max_facts=4, consts=consts)
+            target = random_target(rng, program.arity, consts)
+            if semipositive:
+                domain = SearchDomain.for_spdatalog(program, instance, target, 2)
+                solver = ma_min_spdatalog(program, instance, target, 2)
+            else:
+                domain = SearchDomain.for_positive_datalog(program, instance, target)
+                solver = ma_min_datalog_positive(program, instance, target)
+                if solver.size is None or solver.size > 2:
+                    continue
+            oracle = oracle_ma_min(program, instance, target, domain, 2)
+            assert (oracle.status, oracle.size) == (solver.status, solver.size)
 
     def test_budget_zero(self):
         domain = SearchDomain.for_ucq(TRIANGLE, Instance.of(), ("1", "2", "3"))
