@@ -31,27 +31,29 @@ class QueryClass:
 
 
 def _is_recursive(program: Program) -> bool:
+    """Does the head-dependency graph have a cycle?  Kahn's algorithm:
+    repeatedly remove symbols whose rules read no remaining symbol; the
+    graph is acyclic iff that removes them all."""
     idb = program.idb
-    edges: dict[str, set[str]] = {sym: set() for sym in idb}
+    reads: dict[str, set[str]] = {sym: set() for sym in idb}
     for r in program.rules:
         for lit in r.relational_literals():
             if lit.relation in idb:
-                edges[r.head].add(lit.relation)
-    # Depth-first cycle detection over the head-dependency graph.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {sym: WHITE for sym in idb}
-
-    def visit(sym: str) -> bool:
-        color[sym] = GRAY
-        for nxt in edges[sym]:
-            if color[nxt] == GRAY:
-                return True
-            if color[nxt] == WHITE and visit(nxt):
-                return True
-        color[sym] = BLACK
-        return False
-
-    return any(color[sym] == WHITE and visit(sym) for sym in idb)
+                reads[r.head].add(lit.relation)
+    readers: dict[str, list[str]] = {sym: [] for sym in idb}
+    for sym, used in reads.items():
+        for u in used:
+            readers[u].append(sym)
+    pending = {sym: len(used) for sym, used in reads.items()}
+    ready = [sym for sym, n in pending.items() if n == 0]
+    removed = 0
+    while ready:
+        removed += 1
+        for sym in readers[ready.pop()]:
+            pending[sym] -= 1
+            if pending[sym] == 0:
+                ready.append(sym)
+    return removed < len(idb)
 
 
 def _selection_free_rule(rule: Rule) -> bool:

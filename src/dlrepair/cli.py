@@ -52,6 +52,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dlrepair", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -68,13 +78,13 @@ def _build_parser() -> _Parser:
     io_args(sub.add_parser("decide", help="does any repair exist?"))
     p_bound = sub.add_parser("bound", help="does a repair of size at most k exist?")
     io_args(p_bound)
-    p_bound.add_argument("-k", type=int, required=True)
+    p_bound.add_argument("-k", type=_non_negative_int, required=True)
     p_size = sub.add_parser("size", help="minimum repair size")
     io_args(p_size)
-    p_size.add_argument("--budget", type=int, default=None)
+    p_size.add_argument("--budget", type=_non_negative_int, default=None)
     p_rep = sub.add_parser("repair", help="compute a minimum repair")
     io_args(p_rep)
-    p_rep.add_argument("--budget", type=int, default=None)
+    p_rep.add_argument("--budget", type=_non_negative_int, default=None)
     p_rep.add_argument("--oracle", action="store_true", help="use the brute-force reference search")
     p_rep.add_argument("--json", action="store_true", dest="as_json")
     io_args(sub.add_parser("sat", help="is the query satisfiable?"), data=False, tup=False)

@@ -6,6 +6,14 @@ semi-naive (delta-driven); a naive fixpoint is kept alongside as the
 independent reference the tests compare against.  Membership in a
 non-recursive query's answer skips the fixpoint: the search is pinned to
 the target and stops at its first solution.
+
+A ``Saturation`` is the fixpoint of one program on one base instance, kept
+for checking many instances a few edits away, as the datalog repair
+solvers do.  ``eval_member(..., base=saturation)`` resumes semi-naive
+evaluation from the base fixpoint when the edits can only grow the answer:
+no inserted fact is in a relation some rule negates, and no deleted fact is
+in a relation some rule reads positively.  Other edits re-saturate from
+empty over the edited index, through the same loop.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from .classify import classify
 from .model import (
     ArityMismatch,
     Comparison,
+    Fact,
     Instance,
     Program,
     RelLiteral,
@@ -58,6 +67,12 @@ class _Relation:
         if t:
             self.by_first.setdefault(t[0], []).append(t)
 
+    def copy(self) -> "_Relation":
+        out = _Relation()
+        out.tuples = set(self.tuples)
+        out.by_first = {k: list(v) for k, v in self.by_first.items()}
+        return out
+
     def match(self, pattern: tuple) -> Iterator[tuple[str, ...]]:
         """Yield tuples agreeing with pattern (None = unconstrained)."""
         if not pattern:
@@ -76,17 +91,17 @@ class _Relation:
 _EMPTY_RELATION = _Relation()
 
 
-def _index_instance(instance: Instance) -> dict[str, _Relation]:
+def _index_instance(facts: Iterable[Fact]) -> dict[str, _Relation]:
     out: dict[str, _Relation] = {}
-    for f in instance.facts:
+    for f in facts:
         out.setdefault(f.relation, _Relation()).add(f.args)
     return out
 
 
-def _check_instance(program: Program, instance: Instance) -> None:
+def _check_instance(program: Program, facts: Iterable[Fact]) -> None:
     arities = program.arities
     idb = program.idb
-    for f in instance.facts:
+    for f in facts:
         if f.relation in idb:
             raise ValueError(f"instance contains fact for derived relation {f.relation}")
         want = arities.get(f.relation)
@@ -248,19 +263,24 @@ def _datalog_guard(program: Program) -> None:
                 raise NotDatalog(f"negated intensional symbol {lit.relation}")
 
 
-def eval_datalog(program: Program, instance: Instance) -> dict[str, AnswerSet]:
-    """Least fixpoint by semi-naive iteration.
+def _saturate(
+    program: Program,
+    edb: dict[str, _Relation],
+    derived: dict[str, _Relation],
+    first: Iterable[Rule],
+    goal: tuple[str, ...] | None = None,
+) -> None:
+    """Grow ``derived`` to the least fixpoint over ``edb`` by semi-naive
+    iteration.
 
-    Negative literals and comparisons are tested against the (fixed)
-    extensional instance and constant (in)equality.  Each round reads the
-    derived relations as they stood when it began; its new tuples are added
-    once it ends.
+    ``derived`` must already be sound for ``edb`` (every tuple in it is in
+    the least fixpoint).  The first round fires the rules in ``first`` in
+    full; later rounds fire only on the previous round's new tuples.  Each
+    round reads the derived relations as they stood when it began; its new
+    tuples are added once it ends.  With a ``goal``, iteration stops once
+    the answer relation holds it.
     """
-    _datalog_guard(program)
-    _check_instance(program, instance)
-    edb = _index_instance(instance)
-    idb_syms = program.idb
-    derived = {sym: _Relation() for sym in idb_syms}
+    answer = derived[program.answer].tuples
 
     def fire(rule: Rule, new: dict[str, set[tuple[str, ...]]], delta=None) -> None:
         seen = derived[rule.head].tuples
@@ -269,30 +289,62 @@ def eval_datalog(program: Program, instance: Instance) -> dict[str, AnswerSet]:
             if head not in seen:
                 new[rule.head].add(head)
 
-    delta: dict[str, set[tuple[str, ...]]] = {sym: set() for sym in idb_syms}
-    for rule in program.rules:
+    delta: dict[str, set[tuple[str, ...]]] = {sym: set() for sym in derived}
+    for rule in first:
         fire(rule, delta)
 
     while any(delta.values()):
         for sym, tuples in delta.items():
             for t in tuples:
                 derived[sym].add(t)
-        delta_view = {sym: _Relation(delta[sym]) for sym in idb_syms}
-        new: dict[str, set[tuple[str, ...]]] = {sym: set() for sym in idb_syms}
+        if goal is not None and goal in answer:
+            return
+        delta_view = {sym: _Relation(tuples) for sym, tuples in delta.items()}
+        new: dict[str, set[tuple[str, ...]]] = {sym: set() for sym in derived}
         for rule in program.rules:
             for pos, lit in enumerate(rule.body):
                 if isinstance(lit, RelLiteral) and lit.positive and delta.get(lit.relation):
                     fire(rule, new, delta=(pos, delta_view[lit.relation]))
         delta = new
 
+
+class Saturation:
+    """A program's least fixpoint on one instance, kept so that
+    ``eval_member`` can resume from it on instances a few edits away.
+
+    Holds the extensional index, the derived relations, and the extensional
+    relations some rule reads positively (``positive``) or negates
+    (``negated``).
+    """
+
+    def __init__(self, program: Program, instance: Instance):
+        _datalog_guard(program)
+        _check_instance(program, instance.facts)
+        self.program = program
+        self.instance = instance
+        self.edb = _index_instance(instance.facts)
+        self.derived = {sym: _Relation() for sym in program.idb}
+        _saturate(program, self.edb, self.derived, program.rules)
+        literals = [lit for r in program.rules for lit in r.relational_literals()]
+        self.positive = {lit.relation for lit in literals if lit.positive and lit.relation in program.schema}
+        self.negated = {lit.relation for lit in literals if not lit.positive}
+
+
+def eval_datalog(program: Program, instance: Instance) -> dict[str, AnswerSet]:
+    """Least fixpoint by semi-naive iteration from empty derived relations.
+
+    Negative literals and comparisons are tested against the (fixed)
+    extensional instance and constant (in)equality.
+    """
+    derived = Saturation(program, instance).derived
     return {sym: AnswerSet(sym, frozenset(rel.tuples)) for sym, rel in derived.items()}
 
 
 def eval_datalog_naive(program: Program, instance: Instance) -> dict[str, AnswerSet]:
     """Least fixpoint by naive re-evaluation of every rule each round."""
     _datalog_guard(program)
-    _check_instance(program, instance)
-    edb = _index_instance(instance)
+    _check_instance(program, instance.facts)
+    edb = _index_instance(instance.facts)
     idb_syms = program.idb
     known: dict[str, set[tuple[str, ...]]] = {sym: set() for sym in idb_syms}
     while True:
@@ -313,13 +365,58 @@ def eval_datalog_naive(program: Program, instance: Instance) -> dict[str, Answer
 # Public evaluation entry points
 
 
-def eval_member(program: Program, instance: Instance, target: tuple[str, ...]) -> bool:
-    """Is the target tuple in the program's answer on this instance?"""
+def eval_member(
+    program: Program,
+    instance: Instance,
+    target: tuple[str, ...],
+    base: Saturation | None = None,
+) -> bool:
+    """Is the target tuple in the program's answer on this instance?
+
+    With ``base``, a ``Saturation`` of the same program on a nearby
+    instance, evaluation resumes from the base fixpoint F0 when the edits
+    (``instance`` minus the base facts inserted, the base facts not in
+    ``instance`` deleted) grow the answer: no inserted fact is in a negated
+    relation and no deleted fact is in a positively read one.  A
+    semi-positive program is monotone in the relations it reads positively
+    and antitone in the ones it negates, so under such edits F0 lies inside
+    the new least fixpoint, and a target already in F0's answer is in the
+    new one.  Any rule instance that uses only unchanged facts derives a
+    head already in F0, so firing in full the rules that read a touched
+    relation, then semi-naive rounds on the new derived tuples, reaches the
+    new fixpoint.  Any other edit re-saturates from empty over the edited
+    index.
+    """
     program.check_target(target)
+    if base is not None:
+        if base.program != program:
+            raise ValueError("base was saturated for a different program")
+        ins = instance.facts - base.instance.facts
+        dels = base.instance.facts - instance.facts
+        _check_instance(program, ins)
+        grows = not any(f.relation in base.negated for f in ins) and not any(
+            f.relation in base.positive for f in dels
+        )
+        if grows and target in base.derived[program.answer].tuples:
+            return True
+        touched = {f.relation for f in ins} | {f.relation for f in dels}
+        edb = dict(base.edb)
+        for rel in touched:
+            edb[rel] = _Relation(f.args for f in instance.facts if f.relation == rel)
+        if grows:
+            derived = {sym: rel.copy() for sym, rel in base.derived.items()}
+            first = [
+                r for r in program.rules if any(lit.relation in touched for lit in r.relational_literals())
+            ]
+        else:
+            derived = {sym: _Relation() for sym in base.derived}
+            first = program.rules
+        _saturate(program, edb, derived, first, goal=target)
+        return target in derived[program.answer].tuples
     flags = classify(program)
     if flags.is_ucq:
-        _check_instance(program, instance)
-        edb = _index_instance(instance)
+        _check_instance(program, instance.facts)
+        edb = _index_instance(instance.facts)
         for rule in program.rules:
             binding = _head_binding(rule, target)
             if binding is None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .classify import classify
-from .engine import _check_instance, _head_binding, eval_member
+from .engine import Saturation, _check_instance, _head_binding, eval_member
 from .model import (
     ArityMismatch,
     Fact,
@@ -457,7 +457,7 @@ def ma_min_ucqneg(
     if not flags.is_ucq:
         raise NotUcq("the exhaustive-assignment solver needs a non-recursive query")
     program.check_target(target)
-    _check_instance(program, instance)
+    _check_instance(program, instance.facts)
     domain = SearchDomain.for_ucq(program, instance, target)
     best = None
     for rule in program.rules:
@@ -518,24 +518,6 @@ def _search_by_size(
     return None
 
 
-def _positive_relations(program: Program) -> set[str]:
-    return {
-        lit.relation
-        for r in program.rules
-        for lit in r.relational_literals()
-        if lit.positive and lit.relation in program.schema
-    }
-
-
-def _negative_relations(program: Program) -> set[str]:
-    return {
-        lit.relation
-        for r in program.rules
-        for lit in r.relational_literals()
-        if not lit.positive
-    }
-
-
 # ---------------------------------------------------------------------------
 # Datalog solvers
 
@@ -547,16 +529,19 @@ def ma_min_datalog_positive(program: Program, instance: Instance, target: tuple[
     if not classify(program).is_positive_datalog:
         raise NotPositiveDatalog("program contains negation or inequality atoms")
     program.check_target(target)
+    base = Saturation(program, instance)
     domain = SearchDomain.for_positive_datalog(program, instance, target)
     pool = [
         f
-        for f in facts_over(_positive_relations(program), program.arities, domain.constants)
+        for f in facts_over(base.positive, program.arities, domain.constants)
         if f not in instance.facts
     ]
     everything = Instance(instance.facts | set(pool))
-    if not eval_member(program, everything, target):
+    if not eval_member(program, everything, target, base):
         return RepairResult.no_repair()
-    update = _search_by_size(instance, pool, (), len(pool), lambda i: eval_member(program, i, target))
+    update = _search_by_size(
+        instance, pool, (), len(pool), lambda i: eval_member(program, i, target, base)
+    )
     assert update is not None  # the full insertion succeeds, so the search cannot miss
     return RepairResult.found(update)
 
@@ -574,16 +559,16 @@ def ma_min_spdatalog(
     program.check_target(target)
     if budget < 0:
         raise ValueError("budget must be non-negative")
+    base = Saturation(program, instance)
     domain = SearchDomain.for_spdatalog(program, instance, target, budget)
     ins_pool = [
         f
-        for f in facts_over(_positive_relations(program), program.arities, domain.constants)
+        for f in facts_over(base.positive, program.arities, domain.constants)
         if f not in instance.facts
     ]
-    negated = _negative_relations(program)
-    del_pool = [f for f in sorted(instance.facts) if f.relation in negated]
+    del_pool = [f for f in sorted(instance.facts) if f.relation in base.negated]
     update = _search_by_size(
-        instance, ins_pool, del_pool, budget, lambda i: eval_member(program, i, target)
+        instance, ins_pool, del_pool, budget, lambda i: eval_member(program, i, target, base)
     )
     if update is None:
         return RepairResult.budget_exhausted()
@@ -600,6 +585,8 @@ def oracle_ma_min(
     """Reference brute force: every update over the domain, in order of size
     then canonical order, first success wins.  No pruning of any kind; this
     is the ground truth the real solvers are tested against."""
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     ins_pool = [
         f
         for f in facts_over(program.schema, program.arities, domain.constants)

@@ -97,3 +97,33 @@ def test_inequality_reclassifies_out_of_plain_cq():
     f = flags("ans(X) :- r(X,Y), X != Y.")
     assert not f.is_cq
     assert f.is_ucq and f.has_comparisons
+
+
+def _chain(n: int, closed: bool) -> str:
+    """p0 reads p1, ..., p{n-1} reads p{n}; p{n} reads a, or p0 to close a cycle."""
+    rules = [f"p{i}(X) :- p{i + 1}(X)." for i in range(n)]
+    rules.append(f"p{n}(X) :- {'p0' if closed else 'a'}(X).")
+    return "\n".join(rules)
+
+
+def test_long_dependency_chain():
+    assert not flags(_chain(5000, closed=False)).is_recursive
+    assert flags(_chain(5000, closed=True)).is_recursive
+
+
+def test_long_chain_through_cli(tmp_path):
+    import io
+
+    from dlrepair.cli import run
+
+    query = tmp_path / "chain.dl"
+    query.write_text(_chain(5000, closed=False))
+    out = io.StringIO()
+    assert run(["classify", "-q", str(query)], out=out, err=io.StringIO()) == 0
+    assert "is_recursive: false" in out.getvalue().splitlines()
+
+
+def test_recursion_needs_a_cycle():
+    assert flags("p(X) :- q(X). q(X) :- a(X). p(X) :- q(X), r(X). r(X) :- q(X).").is_recursive is False
+    assert flags("p(X) :- q(X). q(X) :- r(X). r(X) :- q(X), a(X).").is_recursive
+    assert flags("p(X) :- p(X), a(X).").is_recursive

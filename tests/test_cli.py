@@ -111,6 +111,39 @@ class TestRepairCommand:
         assert json.loads(oracle)["size"] == json.loads(plain)["size"]
 
 
+FRAGMENTS = [
+    (TRIANGLE_SRC, "r(3,1).", "(1,2,3)"),
+    ("r(X) :- a(X). r(X) :- r(Y), e(Y,X). ans(X) :- r(X), b(X). @answer ans.", "a(1).", "(2)"),
+    ("t(X,Y) :- e(X,Y), !bad(X). t(X,Z) :- e(X,Y), !bad(X), t(Y,Z). @answer t.", "bad(a).", "(a,b)"),
+]
+
+
+@pytest.mark.parametrize("program, facts, target", FRAGMENTS, ids=["ucq", "positive", "semipositive"])
+class TestNegativeBudget:
+    """A negative budget is a usage error on every fragment and command."""
+
+    def files(self, tmp_path, program, facts):
+        query = tmp_path / "q.dl"
+        query.write_text(program + "\n")
+        data = tmp_path / "d.facts"
+        data.write_text(facts + "\n")
+        return query, data
+
+    @pytest.mark.parametrize("extra", [[], ["--oracle"]], ids=["solver", "oracle"])
+    def test_repair(self, tmp_path, program, facts, target, extra):
+        query, data = self.files(tmp_path, program, facts)
+        code, out, err = invoke(["repair", "-q", query, "-d", data, "-t", target, "--budget", "-1", *extra])
+        assert (code, out) == (64, "")
+        assert "--budget: expected a non-negative integer, got '-1'" in err
+
+    def test_size_and_bound(self, tmp_path, program, facts, target):
+        query, data = self.files(tmp_path, program, facts)
+        for option in (["size", "--budget", "-2"], ["bound", "-k", "-1"]):
+            code, out, err = invoke([option[0], "-q", query, "-d", data, "-t", target, *option[1:]])
+            assert (code, out) == (64, "")
+            assert "expected a non-negative integer" in err
+
+
 class TestDecisionCommands:
     def test_eval_exit_codes(self, triangle):
         query, data = triangle

@@ -291,7 +291,9 @@ class TestOracle:
     def test_matches_datalog_solvers_on_small_inputs(self):
         """Budget 2 bounds both searches, so the semi-positive solver and the
         oracle must agree outright; the positive solver is exact, so the
-        oracle must match it wherever its repair fits in the budget."""
+        oracle must match it wherever its repair fits in the budget.  Both
+        break ties the same way, so the repairs themselves agree, not only
+        their sizes."""
         rng = random.Random(33)
         consts = ("a", "b", "c")
         for i in range(30):
@@ -308,7 +310,12 @@ class TestOracle:
                 if solver.size is None or solver.size > 2:
                     continue
             oracle = oracle_ma_min(program, instance, target, domain, 2)
-            assert (oracle.status, oracle.size) == (solver.status, solver.size)
+            assert (oracle.status, oracle.repair) == (solver.status, solver.repair)
+
+    def test_negative_budget_rejected(self):
+        domain = SearchDomain.for_ucq(TRIANGLE, Instance.of(), ("1", "2", "3"))
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            oracle_ma_min(TRIANGLE, Instance.of(), ("1", "2", "3"), domain, -1)
 
     def test_budget_zero(self):
         domain = SearchDomain.for_ucq(TRIANGLE, Instance.of(), ("1", "2", "3"))
