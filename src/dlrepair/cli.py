@@ -240,6 +240,14 @@ def run(argv: list[str], out=None, err=None) -> int:
     except (SourceError, ArityMismatch, InvalidUpdate, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_INPUT
+    except RecursionError:
+        # Evaluation recurses once per positive body literal.
+        print(
+            f"error: input too deep: exceeded the recursion limit of {sys.getrecursionlimit()} "
+            "(a rule body with about that many positive literals)",
+            file=err,
+        )
+        return EXIT_INPUT
 
 
 def main() -> None:

@@ -3,9 +3,10 @@
 Four search strategies share one contract: find the smallest set of fact
 insertions and deletions placing the target tuple in the query answer.
 
-* non-recursive queries with negated atoms: exhaustive assignment search
-  with branch-and-bound pruning, plus closed-form fast paths for rules
-  without projection (no bound variables) and rules with a single atom;
+* non-recursive queries with negated atoms: per rule, a branch and bound
+  over assignments that tries only one labelling of the interchangeable
+  fresh constants, plus closed-form fast paths for rules without
+  projection (no bound variables) and rules with a single atom;
 * positive datalog: insertion-only search over the visible constants plus
   one fresh constant, complete by monotonicity;
 * recursive programs with negation: budget-capped search over the visible
@@ -17,12 +18,16 @@ insertions and deletions placing the target tuple in the query answer.
 
 All solvers break ties deterministically: among minimum-size repairs, the
 one whose (sorted insertions, sorted deletions) pair is lexicographically
-least under the canonical fact order.
+least under the canonical fact order.  The per-rule search keeps this by
+relabelling the fresh constants of each complete assignment onto the
+least fresh names, and the single-atom path builds the least matching
+fact position by position.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -156,18 +161,34 @@ def repair_for_assignment(rule: Rule, assignment: Mapping[str, str], instance: I
 # General per-rule search (branch and bound)
 
 
+def _getter(slots: tuple[int, ...]) -> Callable[[list], tuple]:
+    """The tuple of a list's items at ``slots``."""
+    if len(slots) == 1:
+        (s,) = slots
+        return lambda values: (values[s],)
+    return operator.itemgetter(*slots) if slots else lambda values: ()
+
+
 def _rule_search(
     rule: Rule,
     instance: Instance,
     domain: Sequence[str],
     target: tuple[str, ...],
+    fresh: frozenset[str],
 ) -> tuple[Update, dict[str, str]] | None:
-    """Minimum repair for one rule by exhaustive enumeration of assignments
-    over the domain, with the head pinned to the target.
+    """Minimum repair for one rule by branch and bound over assignments of
+    the domain to the rule's free equality classes, with the head pinned to
+    the target.
 
-    Equality atoms collapse variables into classes before enumeration, and
-    partial assignments are pruned as soon as their demanded edits exceed
-    the best complete assignment seen.
+    Classes are bound in order of first occurrence, and a literal is
+    grounded when its last class is bound.  Each node probes its children
+    without binding them, tries them in order of (added cost, domain
+    index), and stops at the first whose cost exceeds the best complete
+    assignment's.  The ``fresh`` constants occur in neither the rule, the
+    instance nor the target, so they are interchangeable: a class tries only
+    the fresh constants already in use and the next unused one, and each
+    leaf is relabelled onto the least fresh names before it is compared, so
+    the canonically least repair is still the one returned.
     """
     binding = _head_binding(rule, target)
     if binding is None:
@@ -176,167 +197,122 @@ def _rule_search(
     if cl.conflict:
         return None
 
-    reps: dict[tuple[str, str], int] = {}
+    literals = rule.relational_literals()
+    neqs = [c for c in rule.comparisons() if c.op != "eq"]
+    # values[i] holds class i's value while it is bound; constants follow.
+    index: dict[tuple[str, str], int] = {}
+    for t in itertools.chain(*(lit.args for lit in literals), *((c.left, c.right) for c in neqs)):
+        root = cl.term_root(t)
+        if root not in cl.forced:
+            index.setdefault(root, len(index))
+    nrep = len(index)
+    values: list[str | None] = [None] * nrep
 
-    def rep_of(root: tuple[str, str]) -> int:
-        if root not in reps:
-            reps[root] = len(reps)
-        return reps[root]
+    def slot(t: Term) -> int:
+        root = cl.term_root(t)
+        if root in index:
+            return index[root]
+        values.append(cl.forced[root])
+        return len(values) - 1
 
-    # Slots: ("k", constant) or ("r", rep index).
-    literals: list[tuple[bool, str, tuple]] = []
-    for lit in rule.relational_literals():
-        slots = []
-        for t in lit.args:
-            root = cl.term_root(t)
-            v = cl.forced.get(root)
-            slots.append(("k", v) if v is not None else ("r", rep_of(root)))
-        literals.append((lit.positive, lit.relation, tuple(slots)))
-
-    neq_by_rep: dict[int, list[tuple]] = {}
-    for cmp_ in rule.comparisons():
-        if cmp_.op == "eq":
-            continue
+    # Level nrep grounds what no class reaches; level i what class i completes.
+    neq_at: list[list[tuple[int, int]]] = [[] for _ in range(nrep + 1)]
+    for cmp_ in neqs:
         ra, rb = cl.term_root(cmp_.left), cl.term_root(cmp_.right)
-        if ra == rb:
-            return None
-        va, vb = cl.forced.get(ra), cl.forced.get(rb)
-        if va is not None and vb is not None:
-            if va == vb:
+        if ra == rb or cl.forced.get(ra, ra) == cl.forced.get(rb, rb):
+            return None  # one class, or two classes forced to one constant
+        a, b = slot(cmp_.left), slot(cmp_.right)
+        if min(a, b) < nrep:
+            neq_at[max(s for s in (a, b) if s < nrep)].append((a, b))
+    grounds_at: list[list[tuple[bool, str, Callable]]] = [[] for _ in range(nrep + 1)]
+    for lit in literals:
+        slots = tuple(slot(t) for t in lit.args)
+        at = max((s for s in slots if s < nrep), default=nrep)
+        grounds_at[at].append((lit.positive, lit.relation, _getter(slots)))
+    present = {(f.relation, f.args) for f in instance.facts}
+    required: set[tuple] = set()
+    forbidden: set[tuple] = set()
+
+    def probe(level: int):
+        """(added cost, new required keys, new forbidden keys) of grounding
+        a level under the current values, or None when infeasible."""
+        for a, b in neq_at[level]:
+            if values[a] == values[b]:
                 return None
-            continue
-        a = ("k", va) if va is not None else ("r", rep_of(ra))
-        b = ("k", vb) if vb is not None else ("r", rep_of(rb))
-        at = max(i for kind, i in (a, b) if kind == "r")
-        neq_by_rep.setdefault(at, []).append((a, b))
-
-    nrep = len(reps)
-    rep_slots: dict[int, list[int]] = {i: [] for i in range(nrep)}
-    lit_unbound = []
-    for li, (_, _, slots) in enumerate(literals):
-        count = 0
-        for kind, v in slots:
-            if kind == "r":
-                rep_slots[v].append(li)
-                count += 1
-        lit_unbound.append(count)
-
-    rep_value: list[str | None] = [None] * nrep
-    required: dict[Fact, int] = {}
-    forbidden: dict[Fact, int] = {}
-    cost = [0]
-    in_instance = instance.facts
-
-    def ground(li: int, trail: list) -> bool:
-        positive, relname, slots = literals[li]
-        args = tuple(v if kind == "k" else rep_value[v] for kind, v in slots)
-        fact = Fact(relname, args)
-        if positive:
-            if forbidden.get(fact):
-                return False
-            required[fact] = required.get(fact, 0) + 1
-            trail.append(("req", fact))
-            if required[fact] == 1 and fact not in in_instance:
-                cost[0] += 1
-                trail.append(("cost",))
-        else:
-            if required.get(fact):
-                return False
-            forbidden[fact] = forbidden.get(fact, 0) + 1
-            trail.append(("forb", fact))
-            if forbidden[fact] == 1 and fact in in_instance:
-                cost[0] += 1
-                trail.append(("cost",))
-        return True
-
-    def undo(trail: list) -> None:
-        for entry in reversed(trail):
-            tag = entry[0]
-            if tag == "req":
-                fact = entry[1]
-                required[fact] -= 1
-                if not required[fact]:
-                    del required[fact]
-            elif tag == "forb":
-                fact = entry[1]
-                forbidden[fact] -= 1
-                if not forbidden[fact]:
-                    del forbidden[fact]
-            elif tag == "cost":
-                cost[0] -= 1
-            else:  # "lit"
-                lit_unbound[entry[1]] += 1
-
-    def side_value(side: tuple) -> str:
-        kind, v = side
-        return v if kind == "k" else rep_value[v]
-
-    def bind(rep: int, v: str, trail: list) -> bool:
-        rep_value[rep] = v
-        for a, b in neq_by_rep.get(rep, ()):
-            if side_value(a) == side_value(b):
-                return False
-        for li in rep_slots[rep]:
-            lit_unbound[li] -= 1
-            trail.append(("lit", li))
-            if lit_unbound[li] == 0 and not ground(li, trail):
-                return False
-        return True
-
-    # Ground everything that has no free class at all.
-    base_trail: list = []
-    for li in range(len(literals)):
-        if lit_unbound[li] == 0 and not ground(li, base_trail):
+        pos, neg = set(), set()
+        for positive, relation, get in grounds_at[level]:
+            (pos if positive else neg).add((relation, get(values)))
+        if not (pos.isdisjoint(neg) and pos.isdisjoint(forbidden) and neg.isdisjoint(required)):
             return None
+        pos -= required
+        neg -= forbidden
+        return len(pos - present) + len(neg & present), pos, neg
 
-    best: list = [None]  # (size, key, update, assignment)
-
-    def snapshot() -> tuple[Update, dict[str, str]]:
-        update = Update(
-            frozenset(f for f in required if f not in in_instance),
-            frozenset(f for f in forbidden if f in in_instance),
-        )
-        assignment: dict[str, str] = {}
-        for name in rule.all_vars:
-            root = cl.term_root(var(name))
-            v = cl.forced.get(root)
-            assignment[name] = v if v is not None else rep_value[reps[root]]
-        return update, assignment
-
-    def visit_leaf() -> None:
-        update, assignment = snapshot()
-        size = update_size(update)
-        key = canonical_key(update)
-        if best[0] is None or (size, key) < (best[0][0], best[0][1]):
-            best[0] = (size, key, update, assignment)
-
-    def dfs(i: int) -> None:
-        if i == nrep:
-            visit_leaf()
-            return
-        order = []
-        for vi, v in enumerate(domain):
-            trail: list = []
-            before = cost[0]
-            ok = bind(i, v, trail)
-            delta = cost[0] - before
-            undo(trail)
-            rep_value[i] = None
-            if ok:
-                order.append((delta, vi))
-        order.sort()
-        for _, vi in order:
-            trail = []
-            bind(i, domain[vi], trail)
-            if best[0] is None or cost[0] <= best[0][0]:
-                dfs(i + 1)
-            undo(trail)
-            rep_value[i] = None
-
-    dfs(0)
-    if best[0] is None:
+    base = probe(nrep)
+    if base is None:
         return None
-    return best[0][2], best[0][3]
+    required |= base[1]
+    forbidden |= base[2]
+
+    fixed = [vi for vi, v in enumerate(domain) if v not in fresh]
+    fresh_at = [vi for vi, v in enumerate(domain) if v in fresh]
+    names = sorted(fresh)
+    best = None  # (size, key, relabelling, values)
+
+    def leaf(cost: int) -> None:
+        nonlocal best
+        ins = [k for k in required if k not in present]
+        dels = tuple(sorted(k for k in forbidden if k in present))
+        moved = sorted({a for _, args in ins for a in args if a in fresh})
+        key = rho = None
+        # Try every map of the fresh constants of the insertions onto the
+        # least fresh names; deletions hold no fresh constant.
+        for perm in itertools.permutations(names[: len(moved)]):
+            r = dict(zip(moved, perm))
+            k = (tuple(sorted((rel, tuple(r.get(a, a) for a in args)) for rel, args in ins)), dels)
+            if key is None or k < key:
+                key, rho = k, r
+        if best is None or (cost, key) < best[:2]:
+            best = (cost, key, rho, values[:nrep])
+
+    def dfs(i: int, cost: int, used: int) -> None:
+        if i == nrep:
+            leaf(cost)
+            return
+        children = []
+        for vi in itertools.chain(fixed, fresh_at[: used + 1]):
+            values[i] = domain[vi]
+            probed = probe(i)
+            if probed is not None:
+                children.append((probed[0], vi, probed[1], probed[2]))
+        children.sort()
+        nxt = fresh_at[used] if used < len(fresh_at) else None
+        for delta, vi, pos, neg in children:
+            if best is not None and cost + delta > best[0]:
+                break
+            values[i] = domain[vi]
+            required.update(pos)
+            forbidden.update(neg)
+            dfs(i + 1, cost + delta, used + (vi == nxt))
+            required.difference_update(pos)
+            forbidden.difference_update(neg)
+
+    dfs(0, base[0], 0)
+    if best is None:
+        return None
+    _, (ins, dels), rho, bound = best
+    # Fresh constants of the witness outside the insertions take the least
+    # names the relabelling left free.
+    spare = iter(n for n in names if n not in rho.values())
+    for v in bound:
+        if v in fresh and v not in rho:
+            rho[v] = next(spare)
+    assignment: dict[str, str] = {}
+    for name in rule.all_vars:
+        root = cl.term_root(var(name))
+        v = cl.forced[root] if root in cl.forced else bound[index[root]]
+        assignment[name] = rho.get(v, v)
+    return Update.of((Fact(*k) for k in ins), (Fact(*k) for k in dels)), assignment
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +329,7 @@ def _projection_free(rule: Rule, instance: Instance, target: tuple[str, ...]):
     return update, binding
 
 
-def _join_free(rule: Rule, instance: Instance, target: tuple[str, ...]):
+def _join_free(rule: Rule, instance: Instance, target: tuple[str, ...], domain: Sequence[str]):
     binding = _head_binding(rule, target)
     if binding is None:
         return None
@@ -361,54 +337,61 @@ def _join_free(rule: Rule, instance: Instance, target: tuple[str, ...]):
     if cl.conflict:
         return None
     beta = rule.relational_literals()[0]
-    # Free classes, ordered by first occurrence in the single atom and then
-    # the comparisons, each get their own fresh constant.
-    terms = itertools.chain(beta.args, *((c.left, c.right) for c in rule.comparisons()))
-    fresh_values = cl.instantiate(terms, instance.constants())
+    comparisons = rule.comparisons()
+    # Free classes in order of first occurrence in the single atom, then in
+    # the comparisons.
+    terms = list(itertools.chain(beta.args, *((c.left, c.right) for c in comparisons)))
+    roots = list(dict.fromkeys(map(cl.term_root, terms)))
 
-    def check_neq(values: Mapping[tuple[str, str], str]) -> bool:
-        for cmp_ in rule.comparisons():
-            lv = values[cl.term_root(cmp_.left)]
-            rv = values[cl.term_root(cmp_.right)]
-            if not cmp_.holds(lv, rv):
+    def holds(values: Mapping[tuple[str, str], str]) -> bool:
+        for cmp_ in comparisons:
+            lv = values.get(cl.term_root(cmp_.left))
+            rv = values.get(cl.term_root(cmp_.right))
+            if lv is not None and rv is not None and not cmp_.holds(lv, rv):
                 return False
         return True
+
+    def least(values: dict[tuple[str, str], str]) -> dict[tuple[str, str], str] | None:
+        """Give each unvalued class, in order, the least domain value that
+        keeps the comparisons true; unused fresh constants always can."""
+        for root in roots:
+            if root not in values:
+                values[root] = min((v for v in domain if holds({**values, root: v})), default=None)
+                if values[root] is None:
+                    return None
+        return values if holds(values) else None
 
     def assignment(values: Mapping[tuple[str, str], str]) -> dict[str, str]:
         return {name: values[cl.term_root(var(name))] for name in rule.all_vars}
 
-    if not check_neq(fresh_values):
-        # Only constant-vs-constant comparisons can fail under all-fresh
-        # instantiation, so no assignment at all satisfies the rule.
-        return None
+    def fact(values: Mapping[tuple[str, str], str]) -> Fact:
+        return Fact(beta.relation, tuple(values[cl.term_root(t)] for t in beta.args))
 
-    if beta.positive:
-        for fact in sorted(f for f in instance.facts if f.relation == beta.relation):
-            if len(fact.args) != len(beta.args):
-                continue
-            values = dict(cl.forced)
-            ok = True
-            for t, v in zip(beta.args, fact.args):
-                root = cl.term_root(t)
-                bound = values.get(root)
-                if bound is None:
-                    values[root] = v
-                elif bound != v:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for root, v in fresh_values.items():
-                values.setdefault(root, v)
-            if check_neq(values):
+    if not beta.positive:
+        # A fresh value per free class keeps the negated fact out of the
+        # instance whenever any assignment can.
+        values = cl.instantiate(terms, instance.constants())
+        if not holds(values):
+            return None
+        if fact(values) not in instance.facts:
+            return Update.of(), assignment(values)
+        return Update.of((), [fact(values)]), assignment(values)
+
+    matching = (f for f in instance.facts if f.relation == beta.relation and len(f.args) == len(beta.args))
+    for stored in sorted(matching):
+        values = dict(cl.forced)
+        for t, v in zip(beta.args, stored.args):
+            if values.setdefault(cl.term_root(t), v) != v:
+                break
+        else:
+            values = least(values)
+            if values is not None:
                 return Update.of(), assignment(values)
-        fact = Fact(beta.relation, tuple(fresh_values[cl.term_root(t)] for t in beta.args))
-        return Update.of([fact]), assignment(fresh_values)
-
-    fact = Fact(beta.relation, tuple(fresh_values[cl.term_root(t)] for t in beta.args))
-    if fact not in instance.facts:
-        return Update.of(), assignment(fresh_values)
-    return Update.of((), [fact]), assignment(fresh_values)
+    # No stored fact matches, so the least matching fact is not stored.
+    values = least(dict(cl.forced))
+    if values is None:
+        return None
+    return Update.of([fact(values)]), assignment(values)
 
 
 def ma_min_projection_free(rule: Rule, instance: Instance, target: tuple[str, ...]) -> RepairResult:
@@ -431,7 +414,8 @@ def ma_min_join_free(rule: Rule, instance: Instance, target: tuple[str, ...]) ->
         raise NotJoinFree(f"rule for {rule.head} has more than one relational literal")
     if len(target) != len(rule.head_args):
         raise ArityMismatch(f"target has length {len(target)}, head arity is {len(rule.head_args)}")
-    res = _join_free(rule, instance, target)
+    program = Program((rule,), rule.head, {})
+    res = _join_free(rule, instance, target, SearchDomain.for_ucq(program, instance, target).constants)
     if res is None:
         return RepairResult.no_repair()
     return RepairResult.found(*res)
@@ -458,15 +442,16 @@ def ma_min_ucqneg(
         raise NotUcq("the exhaustive-assignment solver needs a non-recursive query")
     program.check_target(target)
     _check_instance(program, instance.facts)
-    domain = SearchDomain.for_ucq(program, instance, target)
+    domain = SearchDomain.for_ucq(program, instance, target).constants
+    fresh = frozenset(domain) - active_domain(program, instance, target)
     best = None
     for rule in program.rules:
         if dispatch and not rule.bound_vars:
             res = _projection_free(rule, instance, target)
         elif dispatch and len(rule.relational_literals()) == 1:
-            res = _join_free(rule, instance, target)
+            res = _join_free(rule, instance, target, domain)
         else:
-            res = _rule_search(rule, instance, domain.constants, target)
+            res = _rule_search(rule, instance, domain, target, fresh)
         if res is None:
             continue
         update, witness = res

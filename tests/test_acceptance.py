@@ -147,9 +147,14 @@ def test_criterion_03_oracle_equivalence():
     count = 0
     for program, instance, target in criterion3_inputs():
         domain = SearchDomain.for_ucq(program, instance, target)
-        solver = ma_min_ucqneg(program, instance, target)
         oracle = oracle_ma_min(program, instance, target, domain, _rule_bound(program))
-        assert _size_of(solver) == _size_of(oracle), (program, instance, target)
+        for dispatch in (True, False):
+            solver = ma_min_ucqneg(program, instance, target, dispatch=dispatch)
+            # Both break ties by canonical order, so the repairs themselves
+            # agree, not only their sizes; the oracle's budget bounds every
+            # minimal repair, so its exhaustion means no repair exists.
+            expected = (oracle.status, oracle.repair) if oracle.status == "found" else ("no_repair", None)
+            assert (solver.status, solver.repair) == expected, (program, instance, target, dispatch)
         count += 1
     assert count == 300
     _report(3, "oracle equivalence on 300 inputs", started, 60)

@@ -267,6 +267,19 @@ class TestErrors:
         assert code == 65
         assert "variable Y occurs in no positive literal" in err
 
+    def test_recursion_limit_is_an_input_error(self, tmp_path):
+        # Evaluation recurses once per positive body literal, so a
+        # 1,000-literal chain exceeds the default limit; that must not read
+        # as a false answer (exit 1).
+        n = 1000
+        query = tmp_path / "chain.dl"
+        query.write_text("ans(X0) :- " + ", ".join(f"e(X{i},X{i + 1})" for i in range(n)) + ".\n")
+        data = tmp_path / "chain.facts"
+        data.write_text("".join(f"e(n{i},n{i + 1}).\n" for i in range(n)))
+        code, out, err = invoke(["eval", "-q", query, "-d", data, "-t", "(n0)"])
+        assert (code, out) == (65, "")
+        assert f"recursion limit of {sys.getrecursionlimit()}" in err
+
     def test_unsupported_fragment(self, tmp_path):
         query = tmp_path / "spdec.dl"
         query.write_text("t(X) :- e(X). t(X) :- f(X,Y), t(Y), !u(X). @answer t.\n")

@@ -1,17 +1,23 @@
+import itertools
 import random
 
 import pytest
 
 from dlrepair import (
+    Comparison,
     Fact,
     Instance,
     NotJoinFree,
     NotProjectionFree,
     PartialAssignment,
     Program,
+    RelLiteral,
+    Rule,
     SearchDomain,
     Update,
     apply_update,
+    canonical_key,
+    const,
     eval_member,
     ma_bound,
     ma_min,
@@ -21,13 +27,17 @@ from dlrepair import (
     ma_min_spdatalog,
     ma_min_ucqneg,
     ma_size,
+    make_program,
     oracle_ma_min,
     parse_instance,
     parse_program,
     repair_for_assignment,
+    update_size,
+    var,
 )
 from randgen import (
     planted_input,
+    random_cqneg_rule,
     random_datalog_instance,
     random_datalog_program,
     random_instance,
@@ -177,6 +187,84 @@ class TestJoinFree:
         with pytest.raises(NotJoinFree):
             ma_min_join_free(rule, Instance.of(), ("1", "2", "3"))
 
+    def test_least_insertion_reuses_constants(self):
+        # The least matching fact repeats a value where no comparison
+        # forbids it, as the general search and the oracle do.
+        program = parse_program("ans :- r(Y,X).")
+        for result in (
+            ma_min_join_free(program.rules[0], Instance.of(), ()),
+            ma_min_ucqneg(program, Instance.of(), ()),
+            ma_min_ucqneg(program, Instance.of(), (), dispatch=False),
+        ):
+            assert result.repair == Update.of(facts("r(_c0,_c0)"))
+            assert result.witness_assignment == {"X": "_c0", "Y": "_c0"}
+
+    def test_least_insertion_under_inequality(self):
+        # Position by position, the least value that keeps the
+        # inequalities satisfiable; the stored r(a,b,a) fails X != b.
+        rule = parse_program("ans :- r(Y,X,Z), X != Y, X != b.").rules[0]
+        result = ma_min_join_free(rule, parse_instance("r(a,b,a)."), ())
+        assert result.repair == Update.of(facts("r(_c0,_c1,_c0)"))
+        assert result.witness_assignment == {"X": "_c1", "Y": "_c0", "Z": "_c0"}
+
+
+def _brute_force(program, instance, target):
+    """Least (size, canonical key) over every assignment of the search
+    domain to the rule's non-head variables."""
+    (rule,) = program.rules
+    binding = {}
+    for term, value in zip(rule.head_args, target):
+        if binding.setdefault(term.name, value) != value:
+            return None
+    names = sorted(rule.bound_vars)
+    domain = SearchDomain.for_ucq(program, instance, target).constants
+    best = None
+    for values in itertools.product(domain, repeat=len(names)):
+        update = repair_for_assignment(rule, {**binding, **dict(zip(names, values))}, instance)
+        if update is not None and (best is None or (update_size(update), canonical_key(update)) < best[0]):
+            best = ((update_size(update), canonical_key(update)), update)
+    return None if best is None else best[1]
+
+
+class TestRuleSearch:
+    def test_fresh_symmetry_keeps_tie_break(self):
+        # Fresh constants are interchangeable, so the search tries one
+        # labelling of them; the least relabelling of each leaf must still
+        # win, witness included.
+        program = parse_program("ans :- r(Y,X), p(X), !r(X,Y), X != Y.")
+        result = ma_min_ucqneg(program, Instance.of(), (), dispatch=False)
+        assert result.repair == Update.of(facts("p(_c0)", "r(_c1,_c0)"))
+        assert result.witness_assignment == {"X": "_c0", "Y": "_c1"}
+
+    def test_program_constant_named_like_a_fresh_one(self):
+        # A library-built program may hold "_c0" itself; it is then a
+        # visible constant, not an interchangeable fresh one.
+        x = var("X")
+        rule = Rule("ans", (), (RelLiteral("r", (x,)), RelLiteral("p", (x,)), Comparison("neq", x, const("_c0"))))
+        program = make_program([rule], "ans")
+        result = ma_min_ucqneg(program, Instance.of(), (), dispatch=False)
+        assert result.repair == Update.of(facts("p(_c1)", "r(_c1)"))
+        assert result.witness_assignment == {"X": "_c1"}
+
+    def test_matches_brute_force_per_rule(self):
+        rng = random.Random(35)
+        consts = ("a", "b")
+        checked = 0
+        while checked < 500:
+            arity = rng.randint(0, 2)
+            rule = random_cqneg_rule(rng, arity, max_literals=5, max_vars=4, consts=consts)
+            if len(rule.all_vars) < 3:
+                continue
+            program = make_program([rule], "ans")
+            instance = random_instance(rng, max_facts=6, consts=consts)
+            target = random_target(rng, arity, consts)
+            expected = _brute_force(program, instance, target)
+            result = ma_min_ucqneg(program, instance, target, dispatch=False)
+            assert result.repair == expected, (rule, instance, target)
+            if expected is not None:
+                assert repair_for_assignment(rule, result.witness_assignment, instance) == expected
+            checked += 1
+
 
 class TestMaBoundAndSize:
     def test_bound_thresholds(self):
@@ -274,7 +362,7 @@ class TestSpDatalog:
 class TestOracle:
     def test_matches_ucq_solver_on_small_inputs(self):
         rng = random.Random(32)
-        for _ in range(25):
+        for _ in range(400):
             program = random_ucqneg_program(
                 rng, max_rules=2, max_literals=3, max_vars=2, consts=("a", "b")
             )
@@ -283,10 +371,10 @@ class TestOracle:
             domain = SearchDomain.for_ucq(program, instance, target)
             budget = max(r.positive_count() + r.negative_count() for r in program.rules)
             oracle = oracle_ma_min(program, instance, target, domain, budget)
-            solver = ma_min_ucqneg(program, instance, target)
-            assert (oracle.size if oracle.status == "found" else None) == (
-                solver.size if solver.status == "found" else None
-            )
+            expected = (oracle.status, oracle.repair) if oracle.status == "found" else ("no_repair", None)
+            for dispatch in (True, False):
+                solver = ma_min_ucqneg(program, instance, target, dispatch=dispatch)
+                assert (solver.status, solver.repair) == expected
 
     def test_matches_datalog_solvers_on_small_inputs(self):
         """Budget 2 bounds both searches, so the semi-positive solver and the
