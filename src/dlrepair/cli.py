@@ -8,6 +8,7 @@ usage errors, 65 for input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -62,6 +63,7 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dlrepair", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -241,10 +243,10 @@ def run(argv: list[str], out=None, err=None) -> int:
         print(f"error: {exc}", file=err)
         return EXIT_INPUT
     except RecursionError:
-        # Evaluation recurses once per positive body literal.
+        # The repair branch and bound recurses once per variable class of a rule.
         print(
             f"error: input too deep: exceeded the recursion limit of {sys.getrecursionlimit()} "
-            "(a rule body with about that many positive literals)",
+            "(the repair search takes a frame per variable class of a rule)",
             file=err,
         )
         return EXIT_INPUT

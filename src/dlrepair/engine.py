@@ -1,11 +1,10 @@
 """Query evaluation.
 
-Answers come from a bottom-up fixpoint whose rules fire by assignment
-search (a backtracking join over the instance).  The default fixpoint is
-semi-naive (delta-driven); a naive fixpoint is kept alongside as the
-independent reference the tests compare against.  Membership in a
-non-recursive query's answer skips the fixpoint: the search is pinned to
-the target and stops at its first solution.
+Answers come from a bottom-up fixpoint, semi-naive by default; a naive
+fixpoint is kept for the tests to compare.  Each rule runs a join plan
+compiled once from its equality closure (``_plan``), without recursion.
+Membership in a non-recursive query's answer skips the fixpoint: the plan
+runs with the head bound to the target and stops at its first solution.
 
 A ``Saturation`` is the fixpoint of one program on one base instance, kept
 for checking many instances a few edits away, as the datalog repair
@@ -18,8 +17,11 @@ empty over the edited index, through the same loop.
 
 from __future__ import annotations
 
+import functools
+import heapq
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .classify import classify
 from .model import (
@@ -31,6 +33,9 @@ from .model import (
     RelLiteral,
     Rule,
     Term,
+    _Closure,
+    ungrounded_vars,
+    var,
 )
 
 
@@ -49,43 +54,38 @@ class AnswerSet:
 # Fact indexing
 
 
-class _Relation:
-    """Tuples of one relation, indexed by first argument for fast matching."""
+def _getter(slots: tuple[int, ...]) -> Callable[[Sequence], tuple]:
+    """The tuple of a sequence's items at ``slots``."""
+    if len(slots) == 1:
+        (s,) = slots
+        return lambda values: (values[s],)
+    return operator.itemgetter(*slots) if slots else lambda values: ()
 
-    __slots__ = ("tuples", "by_first")
+
+class _Relation:
+    """Tuples of one relation, with a hash index per tuple of columns that a
+    plan looks up by: built on the first lookup, kept current by ``add``."""
+
+    __slots__ = ("tuples", "indexes")
 
     def __init__(self, tuples: Iterable[tuple[str, ...]] = ()):
-        self.tuples: set[tuple[str, ...]] = set()
-        self.by_first: dict[str, list[tuple[str, ...]]] = {}
-        for t in tuples:
-            self.add(t)
+        self.tuples: set[tuple[str, ...]] = set(tuples)
+        self.indexes: dict[tuple[int, ...], tuple[Callable, dict]] = {}
 
     def add(self, t: tuple[str, ...]) -> None:
-        if t in self.tuples:
-            return
-        self.tuples.add(t)
-        if t:
-            self.by_first.setdefault(t[0], []).append(t)
+        if t not in self.tuples:
+            self.tuples.add(t)
+            for key, index in self.indexes.values():
+                index.setdefault(key(t), []).append(t)
 
-    def copy(self) -> "_Relation":
-        out = _Relation()
-        out.tuples = set(self.tuples)
-        out.by_first = {k: list(v) for k, v in self.by_first.items()}
-        return out
-
-    def match(self, pattern: tuple) -> Iterator[tuple[str, ...]]:
-        """Yield tuples agreeing with pattern (None = unconstrained)."""
-        if not pattern:
-            if () in self.tuples:
-                yield ()
-            return
-        if pattern[0] is not None:
-            candidates: Iterable[tuple[str, ...]] = self.by_first.get(pattern[0], ())
-        else:
-            candidates = self.tuples
-        for t in candidates:
-            if all(p is None or p == v for p, v in zip(pattern, t)):
-                yield t
+    def lookup(self, columns: tuple[int, ...], values: tuple[str, ...]) -> Sequence[tuple[str, ...]]:
+        """The tuples holding ``values`` at ``columns``."""
+        if columns not in self.indexes:
+            key, index = _getter(columns), {}
+            for t in self.tuples:
+                index.setdefault(key(t), []).append(t)
+            self.indexes[columns] = (key, index)
+        return self.indexes[columns][1].get(values, ())
 
 
 _EMPTY_RELATION = _Relation()
@@ -110,99 +110,85 @@ def _check_instance(program: Program, facts: Iterable[Fact]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Assignment search
+# Join plans
 
 
-def _ground(term: Term, g: Mapping[str, str]) -> str | None:
-    if term.is_variable:
-        return g.get(term.name)
-    return term.name
+# Bounded, since a long-lived process may evaluate many distinct programs.
+@functools.lru_cache(maxsize=4096)
+def _plan(rule: Rule, bound: frozenset[str]) -> tuple | None:
+    """The join plan of ``rule`` with the names in ``bound`` given on entry,
+    or None when its equality atoms equate two distinct constants.
 
-
-def _solutions(
-    positives: list[tuple[RelLiteral, _Relation]],
-    negatives: list[RelLiteral],
-    comparisons: list[Comparison],
-    edb: dict[str, _Relation],
-    g: dict[str, str],
-) -> Iterator[dict[str, str]]:
-    """All extensions of ``g`` satisfying the literals.
-
-    Positive literals match against their paired relation; negative literals
-    and comparisons are checked once ground.  Equality atoms bind as soon as
-    one side is ground.  A check still unground after the last positive
-    literal means the rule is unsafe, and raises ValueError.
+    An assignment is a list with a slot per equality class.  The plan is
+    ``(names, constants, size, steps, head)``: the bound names, the
+    constants the closure forces, the number of slots, the steps, and the
+    head tuple's reader.  A step ``(pos, relation, columns, key, repeats,
+    binds, negated, unequal)`` looks up the tuples of body literal ``pos``
+    holding the ``key`` slots' values at ``columns`` and copies columns into
+    slots by ``binds``; it drops the assignment if a slot that ``binds``
+    repeats got two values, a ``negated`` literal's tuple is stored, or an
+    ``unequal`` pair agrees.  Step 0 reads one row instead, the names'
+    values then the constants; the positive literals follow, fewest unbound
+    arguments first and lowest body index on ties.  Each check sits at the
+    first step where it is ground.
     """
-    g = dict(g)
-    comparisons = list(comparisons)
-    negatives = list(negatives)
-    # Propagate cheap information before branching.
-    changed = True
-    while changed:
-        changed = False
-        remaining_cmp: list[Comparison] = []
-        for cmp_ in comparisons:
-            lv, rv = _ground(cmp_.left, g), _ground(cmp_.right, g)
-            if lv is not None and rv is not None:
-                if not cmp_.holds(lv, rv):
-                    return
-                changed = True
-            elif cmp_.op == "eq" and lv is not None:
-                g[cmp_.right.name] = lv
-                changed = True
-            elif cmp_.op == "eq" and rv is not None:
-                g[cmp_.left.name] = rv
-                changed = True
-            else:
-                remaining_cmp.append(cmp_)
-        comparisons = remaining_cmp
-        remaining_neg: list[RelLiteral] = []
-        for lit in negatives:
-            values = [_ground(t, g) for t in lit.args]
-            if all(v is not None for v in values):
-                rel = edb.get(lit.relation, _EMPTY_RELATION)
-                if tuple(values) in rel.tuples:
-                    return
-                changed = True
-            else:
-                remaining_neg.append(lit)
-        negatives = remaining_neg
+    if ungrounded_vars(rule) - bound:
+        raise ValueError("unsafe rule: a variable occurs in no positive literal")
+    closure = _Closure(rule, {})
+    if closure.conflict:
+        return None
+    slots = {root: i for i, root in enumerate(dict.fromkeys(map(closure.find, list(closure.parent))))}
 
-    ready = [i for i, (lit, _) in enumerate(positives) if all(_ground(t, g) is not None for t in lit.args)]
-    for i in sorted(ready, reverse=True):
-        lit, rel = positives[i]
-        if tuple(_ground(t, g) for t in lit.args) not in rel.tuples:
-            return
-    positives = [p for i, p in enumerate(positives) if i not in set(ready)]
+    def slots_of(terms: Iterable[Term]) -> tuple[int, ...]:
+        return tuple(slots[closure.term_root(t)] for t in terms)
 
-    if not positives:
-        if negatives or comparisons:
-            raise ValueError("unsafe rule: a variable occurs in no positive literal")
-        yield g
-        return
+    names = tuple(sorted(bound))
+    forced = {slots[root]: value for root, value in closure.forced.items()}
+    entry = tuple(slots[closure.term_root(var(name))] for name in names) + tuple(forced)
+    bound_at = dict.fromkeys(entry, 0)
+    positives: list[tuple[int, str, tuple[int, ...]]] = []
+    readers: dict[int, list[int]] = {}
+    for pos, lit in enumerate(rule.body):
+        if isinstance(lit, RelLiteral) and lit.positive:
+            args = slots_of(lit.args)
+            for s in args:
+                readers.setdefault(s, []).append(len(positives))
+            positives.append((pos, lit.relation, args))
+    unbound = [sum(s not in bound_at for s in args) for _, _, args in positives]
+    # (unbound arguments, literal) entries; stale once the count has changed.
+    heap = [(n, k) for k, n in enumerate(unbound)]
+    heapq.heapify(heap)
+    order = [(-1, "", entry)]
+    while heap:
+        n, k = heapq.heappop(heap)
+        if n == unbound[k]:
+            unbound[k] = -1
+            order.append(positives[k])
+            for s in positives[k][2]:
+                if s not in bound_at:
+                    bound_at[s] = len(order) - 1
+                    for other in readers[s]:
+                        if unbound[other] > 0:
+                            unbound[other] -= 1
+                            heapq.heappush(heap, (unbound[other], other))
 
-    # Branch on the positive literal with the fewest unbound variables.
-    def unbound(entry: tuple[RelLiteral, _Relation]) -> int:
-        lit, _ = entry
-        return sum(1 for t in lit.args if _ground(t, g) is None)
-
-    idx = min(range(len(positives)), key=lambda i: unbound(positives[i]))
-    lit, rel = positives[idx]
-    rest = positives[:idx] + positives[idx + 1 :]
-    pattern = tuple(_ground(t, g) for t in lit.args)
-    for fact_args in rel.match(pattern):
-        g2 = dict(g)
-        ok = True
-        for t, v in zip(lit.args, fact_args):
-            if t.is_variable:
-                bound = g2.get(t.name)
-                if bound is None:
-                    g2[t.name] = v
-                elif bound != v:
-                    ok = False
-                    break
-        if ok:
-            yield from _solutions(rest, negatives, comparisons, edb, g2)
+    negated: list[list] = [[] for _ in order]
+    unequal: list[list] = [[] for _ in order]
+    for lit in rule.body:
+        if isinstance(lit, Comparison) and lit.op == "neq":
+            pair = slots_of((lit.left, lit.right))
+            unequal[max(bound_at[s] for s in pair)].append(pair)
+        elif isinstance(lit, RelLiteral) and not lit.positive:
+            where = slots_of(lit.args)
+            negated[max((bound_at[s] for s in where), default=0)].append((lit.relation, _getter(where)))
+    steps = []
+    for i, (pos, relation, args) in enumerate(order):
+        columns = tuple(j for j, s in enumerate(args) if bound_at[s] < i)
+        binds = tuple((j, s) for j, s in enumerate(args) if bound_at[s] == i)
+        repeats = len({s for _, s in binds}) < len(binds)
+        key = _getter(tuple(args[j] for j in columns))
+        steps.append((pos, relation, columns, key, repeats, binds, tuple(negated[i]), tuple(unequal[i])))
+    return names, tuple(forced.values()), len(slots), tuple(steps), _getter(slots_of(rule.head_args))
 
 
 def rule_solutions(
@@ -211,32 +197,48 @@ def rule_solutions(
     idb: Mapping[str, _Relation] | None = None,
     binding: Mapping[str, str] | None = None,
     delta: tuple[int, _Relation] | None = None,
-) -> Iterator[dict[str, str]]:
-    """Assignments satisfying the body of ``rule``.
+) -> Iterator[tuple[str, ...]]:
+    """The head tuple of each assignment that satisfies the body of
+    ``rule`` and extends ``binding``, from the rule's plan (``_plan``).
 
     ``idb`` supplies derived relations for positive intensional literals;
-    ``delta`` forces the positive literal at the given body index to match a
-    specific relation view (semi-naive evaluation).
+    ``delta`` makes the positive literal at the given body index read a
+    specific relation view (semi-naive evaluation).  Raises ValueError on
+    an unsafe rule.
     """
-    idb = idb or {}
-    positives: list[tuple[RelLiteral, _Relation]] = []
-    negatives: list[RelLiteral] = []
-    comparisons: list[Comparison] = []
-    for i, lit in enumerate(rule.body):
-        if isinstance(lit, Comparison):
-            comparisons.append(lit)
-            continue
-        if not lit.positive:
-            negatives.append(lit)
-            continue
-        if delta is not None and i == delta[0]:
+    plan = _plan(rule, frozenset(binding or ()))
+    if plan is None:
+        return
+    names, constants, size, steps, head = plan
+    vals: list[str | None] = [None] * size
+    levels = []
+    for pos, relation, columns, key, repeats, binds, negated, unequal in steps:
+        if delta is not None and pos == delta[0]:
             rel = delta[1]
-        elif lit.relation in idb:
-            rel = idb[lit.relation]
         else:
-            rel = edb.get(lit.relation, _EMPTY_RELATION)
-        positives.append((lit, rel))
-    yield from _solutions(positives, negatives, comparisons, edb, dict(binding or {}))
+            rel = idb[relation] if relation in (idb or ()) else edb.get(relation, _EMPTY_RELATION)
+        negated = tuple((edb.get(name, _EMPTY_RELATION).tuples, get) for name, get in negated)
+        levels.append((rel, columns, key, repeats, binds, negated, unequal))
+    stack = [iter([tuple(binding[name] for name in names) + constants])]
+    while stack:
+        _, _, _, repeats, binds, negated, unequal = levels[len(stack) - 1]
+        for t in stack[-1]:
+            for j, s in binds:
+                vals[s] = t[j]
+            if repeats and any(vals[s] != t[j] for j, s in binds):
+                continue
+            if unequal and any(vals[a] == vals[b] for a, b in unequal):
+                continue
+            if negated and any(get(vals) in tuples for tuples, get in negated):
+                continue
+            if len(stack) == len(levels):
+                yield head(vals)
+            else:
+                rel, columns, key = levels[len(stack)][:3]
+                stack.append(iter(rel.lookup(columns, key(vals))))
+                break
+        else:
+            stack.pop()
 
 
 def _head_binding(rule: Rule, target: tuple[str, ...]) -> dict[str, str] | None:
@@ -275,36 +277,39 @@ def _saturate(
 
     ``derived`` must already be sound for ``edb`` (every tuple in it is in
     the least fixpoint).  The first round fires the rules in ``first`` in
-    full; later rounds fire only on the previous round's new tuples.  Each
-    round reads the derived relations as they stood when it began; its new
-    tuples are added once it ends.  With a ``goal``, iteration stops once
-    the answer relation holds it.
+    full; later rounds fire only the literals that read a symbol with new
+    tuples, on those tuples.  Each round reads the derived relations as they
+    stood when it began; its new tuples are added once it ends.  With a
+    ``goal``, iteration stops once the answer relation holds it.
     """
     answer = derived[program.answer].tuples
+    readers: dict[str, list[tuple[Rule, int]]] = {}
+    for rule in program.rules:
+        for pos, lit in enumerate(rule.body):
+            if isinstance(lit, RelLiteral) and lit.positive and lit.relation in derived:
+                readers.setdefault(lit.relation, []).append((rule, pos))
 
     def fire(rule: Rule, new: dict[str, set[tuple[str, ...]]], delta=None) -> None:
         seen = derived[rule.head].tuples
-        for g in rule_solutions(rule, edb, derived, delta=delta):
-            head = tuple(g[t.name] for t in rule.head_args)
+        for head in rule_solutions(rule, edb, derived, delta=delta):
             if head not in seen:
-                new[rule.head].add(head)
+                new.setdefault(rule.head, set()).add(head)
 
-    delta: dict[str, set[tuple[str, ...]]] = {sym: set() for sym in derived}
+    delta: dict[str, set[tuple[str, ...]]] = {}
     for rule in first:
         fire(rule, delta)
 
-    while any(delta.values()):
+    while delta:
         for sym, tuples in delta.items():
             for t in tuples:
                 derived[sym].add(t)
         if goal is not None and goal in answer:
             return
-        delta_view = {sym: _Relation(tuples) for sym, tuples in delta.items()}
-        new: dict[str, set[tuple[str, ...]]] = {sym: set() for sym in derived}
-        for rule in program.rules:
-            for pos, lit in enumerate(rule.body):
-                if isinstance(lit, RelLiteral) and lit.positive and delta.get(lit.relation):
-                    fire(rule, new, delta=(pos, delta_view[lit.relation]))
+        new: dict[str, set[tuple[str, ...]]] = {}
+        for sym, tuples in delta.items():
+            view = _Relation(tuples)
+            for rule, pos in readers.get(sym, ()):
+                fire(rule, new, delta=(pos, view))
         delta = new
 
 
@@ -351,8 +356,7 @@ def eval_datalog_naive(program: Program, instance: Instance) -> dict[str, Answer
         view = {sym: _Relation(known[sym]) for sym in idb_syms}
         grew = False
         for rule in program.rules:
-            for g in rule_solutions(rule, edb, view):
-                head = tuple(g[t.name] for t in rule.head_args)
+            for head in rule_solutions(rule, edb, view):
                 if head not in known[rule.head]:
                     known[rule.head].add(head)
                     grew = True
@@ -404,7 +408,7 @@ def eval_member(
         for rel in touched:
             edb[rel] = _Relation(f.args for f in instance.facts if f.relation == rel)
         if grows:
-            derived = {sym: rel.copy() for sym, rel in base.derived.items()}
+            derived = {sym: _Relation(rel.tuples) for sym, rel in base.derived.items()}
             first = [
                 r for r in program.rules if any(lit.relation in touched for lit in r.relational_literals())
             ]

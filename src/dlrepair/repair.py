@@ -27,12 +27,11 @@ fact position by position.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .classify import classify
-from .engine import Saturation, _check_instance, _head_binding, eval_member
+from .engine import Saturation, _check_instance, _getter, _head_binding, eval_member
 from .model import (
     ArityMismatch,
     Fact,
@@ -159,14 +158,6 @@ def repair_for_assignment(rule: Rule, assignment: Mapping[str, str], instance: I
 
 # ---------------------------------------------------------------------------
 # General per-rule search (branch and bound)
-
-
-def _getter(slots: tuple[int, ...]) -> Callable[[list], tuple]:
-    """The tuple of a list's items at ``slots``."""
-    if len(slots) == 1:
-        (s,) = slots
-        return lambda values: (values[s],)
-    return operator.itemgetter(*slots) if slots else lambda values: ()
 
 
 def _rule_search(

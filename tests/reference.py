@@ -1,0 +1,42 @@
+"""A brute-force datalog evaluator that shares no code with ``dlrepair.engine``.
+
+Every round grounds each rule with every assignment of its variables over
+the active domain (``itertools.product``), checks each body literal directly
+against the facts known so far, and adds the heads of the assignments that
+satisfy the body; rounds repeat until one derives nothing new.  It is
+exponential in the number of variables per rule, so it only suits small
+programs: it is the reference the engine's fixpoints are compared against.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from dlrepair.model import Comparison, Instance, Program
+
+
+def reference_answers(program: Program, instance: Instance) -> dict[str, frozenset[tuple[str, ...]]]:
+    """Every derived relation of the least fixpoint, as sets of tuples."""
+    known = {(f.relation, f.args) for f in instance.facts}
+    domain = sorted(program.constants() | instance.constants())
+    while True:
+        new = set()
+        for rule in program.rules:
+            names = sorted(rule.all_vars)
+            for values in itertools.product(domain, repeat=len(names)):
+                g = dict(zip(names, values))
+
+                def value(term):
+                    return g[term.name] if term.is_variable else term.name
+
+                def holds(lit):
+                    if isinstance(lit, Comparison):
+                        return lit.holds(value(lit.left), value(lit.right))
+                    return ((lit.relation, tuple(map(value, lit.args))) in known) == lit.positive
+
+                if all(map(holds, rule.body)):
+                    new.add((rule.head, tuple(map(value, rule.head_args))))
+        if new <= known:
+            break
+        known |= new
+    return {sym: frozenset(args for rel, args in known if rel == sym) for sym in program.idb}

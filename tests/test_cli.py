@@ -268,17 +268,21 @@ class TestErrors:
         assert "variable Y occurs in no positive literal" in err
 
     def test_recursion_limit_is_an_input_error(self, tmp_path):
-        # Evaluation recurses once per positive body literal, so a
-        # 1,000-literal chain exceeds the default limit; that must not read
-        # as a false answer (exit 1).
+        # The repair branch and bound recurses once per variable class of a
+        # rule, so a rule with 1,001 classes exceeds the default limit; that
+        # must not read as "no repair" (exit 1).  Evaluation does not recurse
+        # and answers on the same rule.
         n = 1000
         query = tmp_path / "chain.dl"
-        query.write_text("ans(X0) :- " + ", ".join(f"e(X{i},X{i + 1})" for i in range(n)) + ".\n")
-        data = tmp_path / "chain.facts"
-        data.write_text("".join(f"e(n{i},n{i + 1}).\n" for i in range(n)))
-        code, out, err = invoke(["eval", "-q", query, "-d", data, "-t", "(n0)"])
+        query.write_text("ans :- " + ", ".join(f"e(X{i},X{i + 1})" for i in range(n)) + ".\n")
+        empty = tmp_path / "empty.facts"
+        empty.write_text("")
+        code, out, err = invoke(["repair", "-q", query, "-d", empty, "-t", "()"])
         assert (code, out) == (65, "")
         assert f"recursion limit of {sys.getrecursionlimit()}" in err
+        data = tmp_path / "chain.facts"
+        data.write_text("".join(f"e(n{i},n{i + 1}).\n" for i in range(n)))
+        assert invoke(["eval", "-q", query, "-d", data, "-t", "()"])[:2] == (0, "true\n")
 
     def test_unsupported_fragment(self, tmp_path):
         query = tmp_path / "spdec.dl"
@@ -286,6 +290,41 @@ class TestErrors:
         data = tmp_path / "e.facts"
         data.write_text("")
         assert invoke(["decide", "-q", query, "-d", data, "-t", "(a)"])[0] == 65
+
+
+class TestLongInputs:
+    """Evaluation cost grows about linearly in rules and in body length;
+    only answers are asserted here."""
+
+    def test_eval_on_a_long_rule_chain(self, tmp_path):
+        n = 5000
+        query = tmp_path / "chain.dl"
+        query.write_text("".join(f"p{i}(X) :- p{i + 1}(X).\n" for i in range(n)) + f"p{n}(X) :- a(X).\n")
+        data = tmp_path / "a.facts"
+        data.write_text("a(n0).\n")
+        assert invoke(["eval", "-q", query, "-d", data, "-t", "(n0)"])[:2] == (0, "true\n")
+
+    def test_eval_on_a_long_chain_body(self, tmp_path):
+        n = 5000
+        query = tmp_path / "chain.dl"
+        query.write_text("ans(X0) :- " + ", ".join(f"e(X{i},X{i + 1})" for i in range(n)) + ".\n")
+        data = tmp_path / "chain.facts"
+        data.write_text("".join(f"e(n{i},n{i + 1}).\n" for i in range(n)))
+        assert invoke(["eval", "-q", query, "-d", data, "-t", "(n0)"])[:2] == (0, "true\n")
+
+
+def test_runs_are_independent(triangle):
+    # The argument parser is built once and shared by every run.
+    query, data = triangle
+    argv = ["repair", "-q", query, "-d", data, "-t", "(1,2,3)"]
+    code, out, _ = invoke(argv + ["--json"])
+    assert (code, json.loads(out)["size"]) == (0, 3)
+    code, out, err = invoke(argv + ["--budget", "-1"])
+    assert (code, out) == (64, "")
+    assert "usage error" in err
+    code, out, _ = invoke(argv)
+    assert code == 0
+    assert out.splitlines()[:2] == ["status: found", "size: 3"]
 
 
 def test_module_entry_point(triangle):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from randgen import (
     random_target,
     random_ucqneg_program,
 )
+from reference import reference_answers
 
 TRIANGLE = parse_program("s(X,Y,Z) :- r(X,Y), r(Y,Z), !r(Z,X).")
 TC = parse_program("t(X,Y) :- e(X,Y). t(X,Z) :- e(X,Y), t(Y,Z). @answer t.")
@@ -128,6 +130,44 @@ class TestEvalAnswers:
         program = parse_program("ans(X) :- r(X,Y), !r(Y,X).")
         answers = eval_answers(program, parse_instance("r(a,b)."))
         assert answers.tuples == {("a",)}
+
+
+class TestReferenceEvaluator:
+    """The engine against a brute-force evaluator that shares none of its
+    code: random datalog and non-recursive programs, plus rules whose
+    equality atoms the engine folds into one value per class."""
+
+    EDGE_RULES = (
+        "ans(X) :- r(X,X).",
+        "ans(X) :- r(X,Z), X = Y, Y = a.",
+        "ans(X) :- p(X), X = a, X = b.",
+        "ans(X,Y) :- r(Y,Z), X = a.",
+        "ans(X) :- r(X,Y), Y = Y.",
+        "ans(X) :- r(X,Y), X = Y, Y != X.",
+    )
+
+    @staticmethod
+    def inputs():
+        rng = random.Random(15)
+        for _ in range(60):
+            program = random_datalog_program(rng, semipositive=rng.random() < 0.5)
+            yield program, random_datalog_instance(rng)
+        for _ in range(60):
+            yield random_ucqneg_program(rng), random_instance(rng)
+        for text in TestReferenceEvaluator.EDGE_RULES:
+            for _ in range(10):
+                yield parse_program(text), random_instance(rng)
+
+    def test_engine_matches_reference(self):
+        for program, instance in self.inputs():
+            reference = reference_answers(program, instance)
+            expected = {sym: AnswerSet(sym, tuples) for sym, tuples in reference.items()}
+            assert eval_datalog(program, instance) == expected, (program, instance)
+            assert eval_datalog_naive(program, instance) == expected, (program, instance)
+            domain = sorted(program.constants() | instance.constants()) + ["z"]
+            for target in itertools.product(domain, repeat=program.arity):
+                member = target in expected[program.answer].tuples
+                assert eval_member(program, instance, target) == member, (program, instance, target)
 
 
 class TestFixpointProperties:
