@@ -144,9 +144,15 @@ def _print_repair(result: repair_mod.RepairResult, out) -> None:
 
 def _read_repair_json(path: str) -> Update:
     data = json.loads(Path(path).read_text())
-    ins = [parse_fact(s, allow_fresh=True) for s in data.get("insert", [])]
-    dels = [parse_fact(s, allow_fresh=True) for s in data.get("delete", [])]
-    return Update.of(ins, dels)
+    if not isinstance(data, dict):
+        raise ValueError(f"repair JSON must be an object, got {type(data).__name__}")
+    lists = []
+    for key in ("insert", "delete"):
+        texts = data.get(key, [])
+        if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+            raise ValueError(f"repair JSON field {key!r} must be a list of strings")
+        lists.append([parse_fact(t, allow_fresh=True) for t in texts])
+    return Update.of(*lists)
 
 
 def run(argv: list[str], out=None, err=None) -> int:
@@ -195,8 +201,7 @@ def run(argv: list[str], out=None, err=None) -> int:
         if args.command == "repair":
             program, instance, target = _load(args)
             if args.oracle:
-                domain, budget = repair_mod.oracle_defaults(program, instance, target, args.budget)
-                result = repair_mod.oracle_ma_min(program, instance, target, domain, budget)
+                result = repair_mod.oracle_ma_min(program, instance, target, budget=args.budget)
             else:
                 result = repair_mod.ma_min(program, instance, target, budget=args.budget)
             if args.as_json:

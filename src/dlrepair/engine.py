@@ -193,18 +193,17 @@ def _plan(rule: Rule, bound: frozenset[str]) -> tuple | None:
 
 def rule_solutions(
     rule: Rule,
-    edb: dict[str, _Relation],
-    idb: Mapping[str, _Relation] | None = None,
+    relations: Mapping[str, _Relation],
     binding: Mapping[str, str] | None = None,
     delta: tuple[int, _Relation] | None = None,
 ) -> Iterator[tuple[str, ...]]:
     """The head tuple of each assignment that satisfies the body of
     ``rule`` and extends ``binding``, from the rule's plan (``_plan``).
 
-    ``idb`` supplies derived relations for positive intensional literals;
-    ``delta`` makes the positive literal at the given body index read a
-    specific relation view (semi-naive evaluation).  Raises ValueError on
-    an unsafe rule.
+    ``relations`` maps each symbol, stored or derived, to its tuples; a
+    symbol it lacks is empty.  ``delta`` makes the positive literal at the
+    given body index read a specific relation view (semi-naive evaluation).
+    Raises ValueError on an unsafe rule.
     """
     plan = _plan(rule, frozenset(binding or ()))
     if plan is None:
@@ -216,8 +215,8 @@ def rule_solutions(
         if delta is not None and pos == delta[0]:
             rel = delta[1]
         else:
-            rel = idb[relation] if relation in (idb or ()) else edb.get(relation, _EMPTY_RELATION)
-        negated = tuple((edb.get(name, _EMPTY_RELATION).tuples, get) for name, get in negated)
+            rel = relations.get(relation, _EMPTY_RELATION)
+        negated = tuple((relations.get(name, _EMPTY_RELATION).tuples, get) for name, get in negated)
         levels.append((rel, columns, key, repeats, binds, negated, unequal))
     stack = [iter([tuple(binding[name] for name in names) + constants])]
     while stack:
@@ -267,31 +266,33 @@ def _datalog_guard(program: Program) -> None:
 
 def _saturate(
     program: Program,
-    edb: dict[str, _Relation],
-    derived: dict[str, _Relation],
+    relations: dict[str, _Relation],
     first: Iterable[Rule],
     goal: tuple[str, ...] | None = None,
 ) -> None:
-    """Grow ``derived`` to the least fixpoint over ``edb`` by semi-naive
-    iteration.
+    """Grow the derived relations in ``relations`` to the least fixpoint over
+    its stored ones by semi-naive iteration.
 
-    ``derived`` must already be sound for ``edb`` (every tuple in it is in
-    the least fixpoint).  The first round fires the rules in ``first`` in
-    full; later rounds fire only the literals that read a symbol with new
-    tuples, on those tuples.  Each round reads the derived relations as they
-    stood when it began; its new tuples are added once it ends.  With a
-    ``goal``, iteration stops once the answer relation holds it.
+    ``relations`` must hold a relation for every derived symbol, and each
+    must already be sound (every tuple in it is in the least fixpoint).  The
+    first round fires the rules in ``first`` in full; later rounds fire only
+    the literals that read a symbol with new tuples, on those tuples.  Each
+    round reads the derived relations as they stood when it began; its new
+    tuples are added once it ends.  With a ``goal``, iteration stops once
+    the answer relation holds it.
     """
-    answer = derived[program.answer].tuples
+    answer = relations[program.answer].tuples
+    # New tuples only ever belong to derived symbols, so a reader of a
+    # stored symbol is never looked up.
     readers: dict[str, list[tuple[Rule, int]]] = {}
     for rule in program.rules:
         for pos, lit in enumerate(rule.body):
-            if isinstance(lit, RelLiteral) and lit.positive and lit.relation in derived:
+            if isinstance(lit, RelLiteral) and lit.positive:
                 readers.setdefault(lit.relation, []).append((rule, pos))
 
     def fire(rule: Rule, new: dict[str, set[tuple[str, ...]]], delta=None) -> None:
-        seen = derived[rule.head].tuples
-        for head in rule_solutions(rule, edb, derived, delta=delta):
+        seen = relations[rule.head].tuples
+        for head in rule_solutions(rule, relations, delta=delta):
             if head not in seen:
                 new.setdefault(rule.head, set()).add(head)
 
@@ -302,7 +303,7 @@ def _saturate(
     while delta:
         for sym, tuples in delta.items():
             for t in tuples:
-                derived[sym].add(t)
+                relations[sym].add(t)
         if goal is not None and goal in answer:
             return
         new: dict[str, set[tuple[str, ...]]] = {}
@@ -317,9 +318,9 @@ class Saturation:
     """A program's least fixpoint on one instance, kept so that
     ``eval_member`` can resume from it on instances a few edits away.
 
-    Holds the extensional index, the derived relations, and the extensional
-    relations some rule reads positively (``positive``) or negates
-    (``negated``).
+    Holds one relation map with the stored and the derived relations
+    (``relations``), the derived symbols (``idb``), and the stored relations
+    some rule reads positively (``positive``) or negates (``negated``).
     """
 
     def __init__(self, program: Program, instance: Instance):
@@ -327,9 +328,10 @@ class Saturation:
         _check_instance(program, instance.facts)
         self.program = program
         self.instance = instance
-        self.edb = _index_instance(instance.facts)
-        self.derived = {sym: _Relation() for sym in program.idb}
-        _saturate(program, self.edb, self.derived, program.rules)
+        self.idb = program.idb
+        self.relations = _index_instance(instance.facts)
+        self.relations.update((sym, _Relation()) for sym in self.idb)
+        _saturate(program, self.relations, program.rules)
         literals = [lit for r in program.rules for lit in r.relational_literals()]
         self.positive = {lit.relation for lit in literals if lit.positive and lit.relation in program.schema}
         self.negated = {lit.relation for lit in literals if not lit.positive}
@@ -341,22 +343,22 @@ def eval_datalog(program: Program, instance: Instance) -> dict[str, AnswerSet]:
     Negative literals and comparisons are tested against the (fixed)
     extensional instance and constant (in)equality.
     """
-    derived = Saturation(program, instance).derived
-    return {sym: AnswerSet(sym, frozenset(rel.tuples)) for sym, rel in derived.items()}
+    base = Saturation(program, instance)
+    return {sym: AnswerSet(sym, frozenset(base.relations[sym].tuples)) for sym in base.idb}
 
 
 def eval_datalog_naive(program: Program, instance: Instance) -> dict[str, AnswerSet]:
     """Least fixpoint by naive re-evaluation of every rule each round."""
     _datalog_guard(program)
     _check_instance(program, instance.facts)
-    edb = _index_instance(instance.facts)
+    relations = _index_instance(instance.facts)
     idb_syms = program.idb
     known: dict[str, set[tuple[str, ...]]] = {sym: set() for sym in idb_syms}
     while True:
-        view = {sym: _Relation(known[sym]) for sym in idb_syms}
+        relations.update((sym, _Relation(known[sym])) for sym in idb_syms)
         grew = False
         for rule in program.rules:
-            for head in rule_solutions(rule, edb, view):
+            for head in rule_solutions(rule, relations):
                 if head not in known[rule.head]:
                     known[rule.head].add(head)
                     grew = True
@@ -401,31 +403,28 @@ def eval_member(
         grows = not any(f.relation in base.negated for f in ins) and not any(
             f.relation in base.positive for f in dels
         )
-        if grows and target in base.derived[program.answer].tuples:
+        if grows and target in base.relations[program.answer].tuples:
             return True
         touched = {f.relation for f in ins} | {f.relation for f in dels}
-        edb = dict(base.edb)
+        relations = dict(base.relations)
         for rel in touched:
-            edb[rel] = _Relation(f.args for f in instance.facts if f.relation == rel)
+            relations[rel] = _Relation(f.args for f in instance.facts if f.relation == rel)
+        first = program.rules
         if grows:
-            derived = {sym: _Relation(rel.tuples) for sym, rel in base.derived.items()}
-            first = [
-                r for r in program.rules if any(lit.relation in touched for lit in r.relational_literals())
-            ]
-        else:
-            derived = {sym: _Relation() for sym in base.derived}
-            first = program.rules
-        _saturate(program, edb, derived, first, goal=target)
-        return target in derived[program.answer].tuples
+            first = [r for r in first if any(lit.relation in touched for lit in r.relational_literals())]
+        for sym in base.idb:
+            relations[sym] = _Relation(base.relations[sym].tuples if grows else ())
+        _saturate(program, relations, first, goal=target)
+        return target in relations[program.answer].tuples
     flags = classify(program)
     if flags.is_ucq:
         _check_instance(program, instance.facts)
-        edb = _index_instance(instance.facts)
+        relations = _index_instance(instance.facts)
         for rule in program.rules:
             binding = _head_binding(rule, target)
             if binding is None:
                 continue
-            for _ in rule_solutions(rule, edb, binding=binding):
+            for _ in rule_solutions(rule, relations, binding):
                 return True
         return False
     return target in eval_datalog(program, instance)[program.answer].tuples

@@ -5,8 +5,9 @@ insertions and deletions placing the target tuple in the query answer.
 
 * non-recursive queries with negated atoms: per rule, a branch and bound
   over assignments that tries only one labelling of the interchangeable
-  fresh constants, plus closed-form fast paths for rules without
-  projection (no bound variables) and rules with a single atom;
+  fresh constants, plus a closed-form fast path for rules with a single
+  atom; a rule without projection needs no search, since the head binding
+  forces every class and the branch and bound visits a single leaf;
 * positive datalog: insertion-only search over the visible constants plus
   one fresh constant, complete by monotonicity;
 * recursive programs with negation: budget-capped search over the visible
@@ -48,7 +49,7 @@ from .model import (
     update_size,
     var,
 )
-from .sat import NotPositiveDatalog, NotUcq
+from .sat import NotPositiveDatalog, NotUcq, ma_dec
 
 FOUND = "found"
 NO_REPAIR = "no_repair"
@@ -307,17 +308,7 @@ def _rule_search(
 
 
 # ---------------------------------------------------------------------------
-# Closed-form fast paths
-
-
-def _projection_free(rule: Rule, instance: Instance, target: tuple[str, ...]):
-    binding = _head_binding(rule, target)
-    if binding is None:
-        return None
-    update = repair_for_assignment(rule, binding, instance)
-    if update is None:
-        return None
-    return update, binding
+# Single-rule solvers
 
 
 def _join_free(rule: Rule, instance: Instance, target: tuple[str, ...], domain: Sequence[str]):
@@ -386,13 +377,14 @@ def _join_free(rule: Rule, instance: Instance, target: tuple[str, ...], domain: 
 
 
 def ma_min_projection_free(rule: Rule, instance: Instance, target: tuple[str, ...]) -> RepairResult:
-    """Rules with no bound variables: the head binding is the only candidate
-    assignment, so the induced repair formula is exact."""
+    """Rules with no bound variables: the head binding leaves no class to
+    choose, so the search over an empty domain visits one leaf, the
+    repair the head binding induces."""
     if rule.bound_vars:
         raise NotProjectionFree(f"rule for {rule.head} has bound variables")
     if len(target) != len(rule.head_args):
         raise ArityMismatch(f"target has length {len(target)}, head arity is {len(rule.head_args)}")
-    res = _projection_free(rule, instance, target)
+    res = _rule_search(rule, instance, (), target, frozenset())
     if res is None:
         return RepairResult.no_repair()
     return RepairResult.found(*res)
@@ -425,8 +417,8 @@ def ma_min_ucqneg(
     """Exact minimum repair for a non-recursive query: per rule, the best
     assignment over the search domain; across rules, the smallest result.
 
-    ``dispatch`` routes projection-free and join-free rules to their
-    closed-form solvers; disabling it forces the general search everywhere.
+    ``dispatch`` routes rules with a single atom to their closed-form
+    solver; disabling it forces the general search everywhere.
     """
     flags = classify(program)
     if not flags.is_ucq:
@@ -437,9 +429,7 @@ def ma_min_ucqneg(
     fresh = frozenset(domain) - active_domain(program, instance, target)
     best = None
     for rule in program.rules:
-        if dispatch and not rule.bound_vars:
-            res = _projection_free(rule, instance, target)
-        elif dispatch and len(rule.relational_literals()) == 1:
+        if dispatch and len(rule.relational_literals()) == 1:
             res = _join_free(rule, instance, target, domain)
         else:
             res = _rule_search(rule, instance, domain, target, fresh)
@@ -505,6 +495,8 @@ def ma_min_datalog_positive(program: Program, instance: Instance, target: tuple[
     if not classify(program).is_positive_datalog:
         raise NotPositiveDatalog("program contains negation or inequality atoms")
     program.check_target(target)
+    if not ma_dec(program, instance, target):
+        return RepairResult.no_repair()
     base = Saturation(program, instance)
     domain = SearchDomain.for_positive_datalog(program, instance, target)
     pool = [
@@ -512,13 +504,10 @@ def ma_min_datalog_positive(program: Program, instance: Instance, target: tuple[
         for f in facts_over(base.positive, program.arities, domain.constants)
         if f not in instance.facts
     ]
-    everything = Instance(instance.facts | set(pool))
-    if not eval_member(program, everything, target, base):
-        return RepairResult.no_repair()
     update = _search_by_size(
         instance, pool, (), len(pool), lambda i: eval_member(program, i, target, base)
     )
-    assert update is not None  # the full insertion succeeds, so the search cannot miss
+    assert update is not None  # a repair exists, so inserting the whole pool is one
     return RepairResult.found(update)
 
 
@@ -555,14 +544,30 @@ def oracle_ma_min(
     program: Program,
     instance: Instance,
     target: tuple[str, ...],
-    domain: SearchDomain,
-    budget: int,
+    domain: SearchDomain | None = None,
+    budget: int | None = None,
 ) -> RepairResult:
     """Reference brute force: every update over the domain, in order of size
     then canonical order, first success wins.  No pruning of any kind; this
-    is the ground truth the real solvers are tested against."""
-    if budget < 0:
+    is the ground truth the real solvers are tested against.
+
+    By default the budget is the most literals in one rule for non-recursive
+    queries, which bounds every minimal repair, and ``DEFAULT_SP_BUDGET``
+    otherwise; the domain is the fragment's search domain.
+    """
+    if budget is not None and budget < 0:
         raise ValueError("budget must be non-negative")
+    flags = classify(program)
+    if budget is None and flags.is_ucq:
+        budget = max((r.positive_count() + r.negative_count() for r in program.rules), default=0)
+    elif budget is None:
+        budget = DEFAULT_SP_BUDGET
+    if domain is None and flags.is_ucq:
+        domain = SearchDomain.for_ucq(program, instance, target)
+    elif domain is None and flags.is_positive_datalog:
+        domain = SearchDomain.for_positive_datalog(program, instance, target)
+    elif domain is None:
+        domain = SearchDomain.for_spdatalog(program, instance, target, budget)
     ins_pool = [
         f
         for f in facts_over(program.schema, program.arities, domain.constants)
@@ -579,24 +584,6 @@ def oracle_ma_min(
 
 # ---------------------------------------------------------------------------
 # Fragment dispatch
-
-
-def oracle_defaults(
-    program: Program, instance: Instance, target: tuple[str, ...], budget: int | None
-) -> tuple[SearchDomain, int]:
-    """Default domain and budget for ``oracle_ma_min``: the fragment's search
-    domain, and for non-recursive queries a budget of the most literals in
-    one rule, which bounds every minimal repair; else ``DEFAULT_SP_BUDGET``."""
-    flags = classify(program)
-    if flags.is_ucq:
-        if budget is None:
-            budget = max((r.positive_count() + r.negative_count() for r in program.rules), default=0)
-        return SearchDomain.for_ucq(program, instance, target), budget
-    if budget is None:
-        budget = DEFAULT_SP_BUDGET
-    if flags.is_positive_datalog:
-        return SearchDomain.for_positive_datalog(program, instance, target), budget
-    return SearchDomain.for_spdatalog(program, instance, target, budget), budget
 
 
 def ma_min(

@@ -242,6 +242,24 @@ class TestSetcoverCommands:
         payload = json.loads(rep)
         assert len(chosen) <= payload["size"]
 
+    @pytest.mark.parametrize(
+        "payload, complaint",
+        [
+            ("[]", "must be an object"),
+            ('{"insert": [5]}', "'insert' must be a list of strings"),
+            ('{"delete": "s1"}', "'delete' must be a list of strings"),
+        ],
+        ids=["array", "non-string-entry", "string-for-list"],
+    )
+    def test_malformed_repair_json_is_an_input_error(self, tmp_path, payload, complaint):
+        coverfile = tmp_path / "sc.txt"
+        coverfile.write_text(invoke(["gen-setcover", "--seed", 7, "-n", 4, "-m", 3, "--density", 0.6])[1])
+        repfile = tmp_path / "rep.json"
+        repfile.write_text(payload)
+        code, out, err = invoke(["extract-cover", "-i", coverfile, "--repair", repfile])
+        assert (code, out) == (65, "")
+        assert complaint in err
+
 
 class TestErrors:
     def test_usage_error(self):

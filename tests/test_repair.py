@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -35,12 +36,14 @@ from dlrepair import (
     update_size,
     var,
 )
+from dlrepair.repair import DEFAULT_SP_BUDGET
 from randgen import (
     planted_input,
     random_cqneg_rule,
     random_datalog_instance,
     random_datalog_program,
     random_instance,
+    random_projection_free_rule,
     random_target,
     random_ucqneg_program,
 )
@@ -142,6 +145,29 @@ class TestProjectionFree:
         rule = parse_program("ans(X) :- r(X,Y).").rules[0]
         with pytest.raises(NotProjectionFree):
             ma_min_projection_free(rule, Instance.of(), ("a",))
+
+    def test_every_route_returns_the_induced_repair(self):
+        """The head binding fixes every variable, so each route, dispatched
+        or not, must return exactly the repair that binding induces, with
+        the binding as witness."""
+        rng = random.Random(41)
+        for _ in range(400):
+            rule = random_projection_free_rule(rng)
+            instance = random_instance(rng)
+            target = random_target(rng, len(rule.head_args))
+            binding = {}
+            for term, value in zip(rule.head_args, target):
+                if binding.setdefault(term.name, value) != value:
+                    binding = None
+                    break
+            update = None if binding is None else repair_for_assignment(rule, binding, instance)
+            expected = ("no_repair", None, None) if update is None else ("found", update, binding)
+            program = make_program([rule], "ans", validate=False)
+            results = [ma_min_projection_free(rule, instance, target)] + [
+                ma_min_ucqneg(program, instance, target, dispatch=d) for d in (True, False)
+            ]
+            for result in results:
+                assert (result.status, result.repair, result.witness_assignment) == expected, (rule, target)
 
 
 class TestJoinFree:
@@ -404,6 +430,44 @@ class TestOracle:
         domain = SearchDomain.for_ucq(TRIANGLE, Instance.of(), ("1", "2", "3"))
         with pytest.raises(ValueError, match="budget must be non-negative"):
             oracle_ma_min(TRIANGLE, Instance.of(), ("1", "2", "3"), domain, -1)
+
+    DEFAULTS = [
+        # (program, instance, target, domain builder, default budget)
+        ("ans(X) :- r(X,Y), !s(X).", "s(a).", ("a",), SearchDomain.for_ucq, 2),
+        (
+            "t(X,Y) :- e(X,Y). t(X,Z) :- e(X,Y), t(Y,Z). @answer t.",
+            "e(a,b).",
+            ("a", "c"),
+            SearchDomain.for_positive_datalog,
+            DEFAULT_SP_BUDGET,
+        ),
+        (
+            "h(X) :- e(X), !bad(X). ans(X) :- h(X). @answer ans.",
+            "bad(a).",
+            ("a",),
+            functools.partial(SearchDomain.for_spdatalog, budget=DEFAULT_SP_BUDGET),
+            DEFAULT_SP_BUDGET,
+        ),
+    ]
+
+    FRAGMENTS = ["ucq", "positive", "semipositive"]
+
+    @pytest.mark.parametrize("source, facts_text, target, builder, budget", DEFAULTS, ids=FRAGMENTS)
+    def test_defaults_are_the_fragment_domain_and_budget(self, source, facts_text, target, builder, budget):
+        program, instance = parse_program(source), parse_instance(facts_text)
+        default = oracle_ma_min(program, instance, target)
+        assert default.status == "found"
+        assert default == oracle_ma_min(program, instance, target, builder(program, instance, target), budget)
+
+    @pytest.mark.parametrize("source, facts_text, target", [d[:3] for d in DEFAULTS], ids=FRAGMENTS)
+    def test_negative_budget_rejected_before_a_domain_is_built(self, monkeypatch, source, facts_text, target):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a search domain was built")
+
+        for name in ("for_ucq", "for_positive_datalog", "for_spdatalog"):
+            monkeypatch.setattr(SearchDomain, name, unexpected)
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            oracle_ma_min(parse_program(source), parse_instance(facts_text), target, budget=-1)
 
     def test_budget_zero(self):
         domain = SearchDomain.for_ucq(TRIANGLE, Instance.of(), ("1", "2", "3"))

@@ -11,6 +11,7 @@ from dlrepair import (
     ma_dec,
     ma_min,
     ma_min_ucqneg,
+    oracle_ma_min,
     parse_program,
     sat_cqneg,
     sat_datalog_positive,
@@ -174,9 +175,17 @@ class TestMaDec:
         assert set(program.rules) <= set(specialized.rules)
 
     def test_transitive_closure_with_answer_directive(self):
-        program = parse_program(
+        closure = parse_program(
             "h(X,Y) :- e(X,Y), X = a. t(X,Y) :- h(X,Y). t(X,Z) :- t(X,Y), e(Y,Z). @answer t."
         )
-        for target, exists in [(("a", "d"), True), (("b", "d"), False)]:
+        pinned = parse_program("ans(X) :- r(X), X = a. r(X) :- s(X).")
+        for program, target, exists in [
+            (closure, ("a", "d"), True),
+            (closure, ("b", "d"), False),
+            (pinned, ("b",), False),
+        ]:
             assert ma_dec(program, Instance.of(), target) == exists
             assert (ma_min(program, Instance.of(), target).status == "found") == exists
+        # The oracle's default pool, s over a, b and one fresh constant, fits
+        # in its default budget, so exhausting it proves that no repair exists.
+        assert oracle_ma_min(pinned, Instance.of(), ("b",)).status == "budget_exhausted"
