@@ -10,7 +10,6 @@ from .classify import QueryClass, classify
 from .engine import (
     AnswerSet,
     NotDatalog,
-    Saturation,
     eval_answers,
     eval_datalog,
     eval_datalog_naive,

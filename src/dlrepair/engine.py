@@ -5,14 +5,9 @@ fixpoint is kept for the tests to compare.  Each rule runs a join plan
 compiled once from its equality closure (``_plan``), without recursion.
 Membership in a non-recursive query's answer skips the fixpoint: the plan
 runs with the head bound to the target and stops at its first solution.
-
-A ``Saturation`` is the fixpoint of one program on one base instance, kept
-for checking many instances a few edits away, as the datalog repair
-solvers do.  ``eval_member(..., base=saturation)`` resumes semi-naive
-evaluation from the base fixpoint when the edits can only grow the answer:
-no inserted fact is in a relation some rule negates, and no deleted fact is
-in a relation some rule reads positively.  Other edits re-saturate from
-empty over the edited index, through the same loop.
+The datalog repair solvers do not evaluate candidate instances here: they
+ground rules themselves, over edit labels (``repair._label_search``), and
+call ``eval_member`` once to check the repair they return.
 """
 
 from __future__ import annotations
@@ -264,24 +259,15 @@ def _datalog_guard(program: Program) -> None:
                 raise NotDatalog(f"negated intensional symbol {lit.relation}")
 
 
-def _saturate(
-    program: Program,
-    relations: dict[str, _Relation],
-    first: Iterable[Rule],
-    goal: tuple[str, ...] | None = None,
-) -> None:
-    """Grow the derived relations in ``relations`` to the least fixpoint over
-    its stored ones by semi-naive iteration.
+def _saturate(program: Program, relations: dict[str, _Relation]) -> None:
+    """Grow the derived relations in ``relations``, empty on entry, to the
+    least fixpoint over its stored ones by semi-naive iteration.
 
-    ``relations`` must hold a relation for every derived symbol, and each
-    must already be sound (every tuple in it is in the least fixpoint).  The
-    first round fires the rules in ``first`` in full; later rounds fire only
-    the literals that read a symbol with new tuples, on those tuples.  Each
+    The first round fires every rule in full; later rounds fire only the
+    literals that read a symbol with new tuples, on those tuples.  Each
     round reads the derived relations as they stood when it began; its new
-    tuples are added once it ends.  With a ``goal``, iteration stops once
-    the answer relation holds it.
+    tuples are added once it ends.
     """
-    answer = relations[program.answer].tuples
     # New tuples only ever belong to derived symbols, so a reader of a
     # stored symbol is never looked up.
     readers: dict[str, list[tuple[Rule, int]]] = {}
@@ -297,15 +283,13 @@ def _saturate(
                 new.setdefault(rule.head, set()).add(head)
 
     delta: dict[str, set[tuple[str, ...]]] = {}
-    for rule in first:
+    for rule in program.rules:
         fire(rule, delta)
 
     while delta:
         for sym, tuples in delta.items():
             for t in tuples:
                 relations[sym].add(t)
-        if goal is not None and goal in answer:
-            return
         new: dict[str, set[tuple[str, ...]]] = {}
         for sym, tuples in delta.items():
             view = _Relation(tuples)
@@ -314,37 +298,18 @@ def _saturate(
         delta = new
 
 
-class Saturation:
-    """A program's least fixpoint on one instance, kept so that
-    ``eval_member`` can resume from it on instances a few edits away.
-
-    Holds one relation map with the stored and the derived relations
-    (``relations``), the derived symbols (``idb``), and the stored relations
-    some rule reads positively (``positive``) or negates (``negated``).
-    """
-
-    def __init__(self, program: Program, instance: Instance):
-        _datalog_guard(program)
-        _check_instance(program, instance.facts)
-        self.program = program
-        self.instance = instance
-        self.idb = program.idb
-        self.relations = _index_instance(instance.facts)
-        self.relations.update((sym, _Relation()) for sym in self.idb)
-        _saturate(program, self.relations, program.rules)
-        literals = [lit for r in program.rules for lit in r.relational_literals()]
-        self.positive = {lit.relation for lit in literals if lit.positive and lit.relation in program.schema}
-        self.negated = {lit.relation for lit in literals if not lit.positive}
-
-
 def eval_datalog(program: Program, instance: Instance) -> dict[str, AnswerSet]:
     """Least fixpoint by semi-naive iteration from empty derived relations.
 
     Negative literals and comparisons are tested against the (fixed)
     extensional instance and constant (in)equality.
     """
-    base = Saturation(program, instance)
-    return {sym: AnswerSet(sym, frozenset(base.relations[sym].tuples)) for sym in base.idb}
+    _datalog_guard(program)
+    _check_instance(program, instance.facts)
+    relations = _index_instance(instance.facts)
+    relations.update((sym, _Relation()) for sym in program.idb)
+    _saturate(program, relations)
+    return {sym: AnswerSet(sym, frozenset(relations[sym].tuples)) for sym in program.idb}
 
 
 def eval_datalog_naive(program: Program, instance: Instance) -> dict[str, AnswerSet]:
@@ -371,51 +336,9 @@ def eval_datalog_naive(program: Program, instance: Instance) -> dict[str, Answer
 # Public evaluation entry points
 
 
-def eval_member(
-    program: Program,
-    instance: Instance,
-    target: tuple[str, ...],
-    base: Saturation | None = None,
-) -> bool:
-    """Is the target tuple in the program's answer on this instance?
-
-    With ``base``, a ``Saturation`` of the same program on a nearby
-    instance, evaluation resumes from the base fixpoint F0 when the edits
-    (``instance`` minus the base facts inserted, the base facts not in
-    ``instance`` deleted) grow the answer: no inserted fact is in a negated
-    relation and no deleted fact is in a positively read one.  A
-    semi-positive program is monotone in the relations it reads positively
-    and antitone in the ones it negates, so under such edits F0 lies inside
-    the new least fixpoint, and a target already in F0's answer is in the
-    new one.  Any rule instance that uses only unchanged facts derives a
-    head already in F0, so firing in full the rules that read a touched
-    relation, then semi-naive rounds on the new derived tuples, reaches the
-    new fixpoint.  Any other edit re-saturates from empty over the edited
-    index.
-    """
+def eval_member(program: Program, instance: Instance, target: tuple[str, ...]) -> bool:
+    """Is the target tuple in the program's answer on this instance?"""
     program.check_target(target)
-    if base is not None:
-        if base.program != program:
-            raise ValueError("base was saturated for a different program")
-        ins = instance.facts - base.instance.facts
-        dels = base.instance.facts - instance.facts
-        _check_instance(program, ins)
-        grows = not any(f.relation in base.negated for f in ins) and not any(
-            f.relation in base.positive for f in dels
-        )
-        if grows and target in base.relations[program.answer].tuples:
-            return True
-        touched = {f.relation for f in ins} | {f.relation for f in dels}
-        relations = dict(base.relations)
-        for rel in touched:
-            relations[rel] = _Relation(f.args for f in instance.facts if f.relation == rel)
-        first = program.rules
-        if grows:
-            first = [r for r in first if any(lit.relation in touched for lit in r.relational_literals())]
-        for sym in base.idb:
-            relations[sym] = _Relation(base.relations[sym].tuples if grows else ())
-        _saturate(program, relations, first, goal=target)
-        return target in relations[program.answer].tuples
     flags = classify(program)
     if flags.is_ucq:
         _check_instance(program, instance.facts)

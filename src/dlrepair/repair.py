@@ -1,6 +1,6 @@
 """Minimum-cardinality repair solvers.
 
-Four search strategies share one contract: find the smallest set of fact
+Three search strategies share one contract: find the smallest set of fact
 insertions and deletions placing the target tuple in the query answer.
 
 * non-recursive queries with negated atoms: per rule, a branch and bound
@@ -8,31 +8,34 @@ insertions and deletions placing the target tuple in the query answer.
   fresh constants, plus a closed-form fast path for rules with a single
   atom; a rule without projection needs no search, since the head binding
   forces every class and the branch and bound visits a single leaf;
-* positive datalog: insertion-only search over the visible constants plus
-  one fresh constant, complete by monotonicity;
-* recursive programs with negation: budget-capped search over the visible
-  constants plus ``max-arity * budget`` fresh ones (no finite bound on
-  minimal repair size is computed, so exhausting the budget is a distinct
-  outcome from proving no repair exists);
+* datalog, positive or with negated stored atoms: one fixpoint that labels
+  each derived atom with the minimal edit sets of its proofs, cut off at a
+  cost that rises from 0 until the target has a label (``_label_search``);
+  positive programs insert over the visible constants plus one fresh
+  constant, complete by monotonicity, and recursive programs with negation
+  stop at the budget, over ``max-arity * budget`` fresh constants (no
+  finite bound on minimal repair size is computed, so exhausting the
+  budget is a distinct outcome from proving no repair exists);
 * a brute-force oracle that enumerates every update over a given domain in
   order of size, used by tests and the CLI's ``--oracle`` mode.
 
 All solvers break ties deterministically: among minimum-size repairs, the
 one whose (sorted insertions, sorted deletions) pair is lexicographically
-least under the canonical fact order.  The per-rule search keeps this by
-relabelling the fresh constants of each complete assignment onto the
-least fresh names, and the single-atom path builds the least matching
+least under the canonical fact order.  The per-rule search and the label
+search keep this by relabelling the fresh constants of each answer onto
+the least fresh names, and the single-atom path builds the least matching
 fact position by position.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .classify import classify
-from .engine import Saturation, _check_instance, _getter, _head_binding, eval_member
+from .engine import _check_instance, _getter, _head_binding, eval_member
 from .model import (
     ArityMismatch,
     Fact,
@@ -43,9 +46,12 @@ from .model import (
     Update,
     _Closure,
     active_domain,
+    apply_update,
+    body_terms,
     canonical_key,
     facts_over,
     fresh_constants,
+    ungrounded_vars,
     update_size,
     var,
 )
@@ -161,6 +167,23 @@ def repair_for_assignment(rule: Rule, assignment: Mapping[str, str], instance: I
 # General per-rule search (branch and bound)
 
 
+def _least_relabelling(
+    ins: Sequence[tuple], dels: tuple[tuple, ...], names: Sequence[str], fresh: frozenset[str]
+) -> tuple[tuple, dict[str, str]]:
+    """The canonically least ``(insertions, deletions)`` key of an update
+    given as fact tuples, over every map of the fresh constants of its
+    insertions onto the least fresh ``names``, and that map.  Deletions hold
+    no fresh constant."""
+    moved = sorted({a for _, args in ins for a in args if a in fresh})
+    key = rho = None
+    for perm in itertools.permutations(names[: len(moved)]):
+        r = dict(zip(moved, perm))
+        k = (tuple(sorted((rel, tuple(r.get(a, a) for a in args)) for rel, args in ins)), dels)
+        if key is None or k < key:
+            key, rho = k, r
+    return key, rho
+
+
 def _rule_search(
     rule: Rule,
     instance: Instance,
@@ -255,15 +278,7 @@ def _rule_search(
         nonlocal best
         ins = [k for k in required if k not in present]
         dels = tuple(sorted(k for k in forbidden if k in present))
-        moved = sorted({a for _, args in ins for a in args if a in fresh})
-        key = rho = None
-        # Try every map of the fresh constants of the insertions onto the
-        # least fresh names; deletions hold no fresh constant.
-        for perm in itertools.permutations(names[: len(moved)]):
-            r = dict(zip(moved, perm))
-            k = (tuple(sorted((rel, tuple(r.get(a, a) for a in args)) for rel, args in ins)), dels)
-            if key is None or k < key:
-                key, rho = k, r
+        key, rho = _least_relabelling(ins, dels, names, fresh)
         if best is None or (cost, key) < best[:2]:
             best = (cost, key, rho, values[:nrep])
 
@@ -445,7 +460,7 @@ def ma_min_ucqneg(
 
 
 # ---------------------------------------------------------------------------
-# Size-ordered update enumeration (shared by the datalog solvers and oracle)
+# Size-ordered update enumeration (the oracle's search)
 
 
 def _enumerate_updates(
@@ -485,56 +500,366 @@ def _search_by_size(
 
 
 # ---------------------------------------------------------------------------
-# Datalog solvers
+# Datalog solvers: one fixpoint of minimal edit labels
+
+
+class _Labels:
+    """Labels of derived atoms.  An entry ``(args, label, n)`` holds an
+    atom's arguments and one of its labels, their fresh constants renamed
+    onto the first ``n`` fresh names of the search.  ``lookup`` finds the
+    entries with given values at given columns, where a fresh value matches
+    any fresh constant."""
+
+    def __init__(self, fresh: frozenset[str]):
+        self.fresh = fresh
+        self.by_atom: dict[tuple[str, tuple[str, ...]], list[frozenset]] = {}
+        # relation -> columns -> key -> entries; columns () lists them all.
+        self.indexes: dict[str, dict[tuple[int, ...], dict]] = {}
+
+    def _key(self, values: Iterable[str]) -> tuple:
+        return tuple(None if v in self.fresh else v for v in values)
+
+    def add(self, relation: str, args: tuple[str, ...], label: frozenset, n: int) -> bool:
+        """Store the entry unless a label of the same atom is a subset of
+        ``label``; say whether it was stored."""
+        known = self.by_atom.setdefault((relation, args), [])
+        if any(old <= label for old in known):
+            return False
+        known.append(label)
+        entry = (args, label, n)
+        for columns, index in self.indexes.setdefault(relation, {(): {}}).items():
+            index.setdefault(self._key(args[c] for c in columns), []).append(entry)
+        return True
+
+    def lookup(self, relation: str, columns: tuple[int, ...], values: Iterable[str]) -> Sequence[tuple]:
+        indexes = self.indexes.get(relation)
+        if indexes is None:
+            return ()
+        if columns not in indexes:
+            index: dict = {}
+            for entry in indexes[()].get((), ()):
+                index.setdefault(self._key(entry[0][c] for c in columns), []).append(entry)
+            indexes[columns] = index
+        return indexes[columns].get(self._key(values), ())
+
+
+# Bounded, since a long-lived process may solve for many distinct programs.
+@functools.lru_cache(maxsize=4096)
+def _label_plan(rule: Rule, binding: tuple[tuple[str, str], ...], idb: frozenset[str], first: int | None):
+    """How the label fixpoint grounds ``rule`` with the ``binding`` pairs
+    (variable, constant) on its head variables, or None when no assignment
+    can satisfy it.
+
+    An assignment is a list with a slot per equality class, forced classes
+    filled in.  The plan is ``(start, pre, steps, head)``: that list, the
+    checks ground from the start, the steps and the head tuple's reader.  A
+    step is a derived literal ``(relation, slots, columns, binds, repeats)``,
+    matched against stored labels by its argument positions ``columns``
+    that are already bound and binding the ``binds`` pairs (position, slot),
+    ``repeats`` telling whether a slot is bound twice, or a free slot to
+    give each domain value.  Derived literals come first, the
+    ``first``-th of them (in body order) ahead of the others.  Each step
+    carries the checks that are ground once it is done: stored literals
+    ``(positive, relation, reader)`` and pairs of slots that must differ.
+    """
+    cl = _Closure(rule, dict(binding))
+    if cl.conflict:
+        return None
+    roots = list(dict.fromkeys(map(cl.term_root, itertools.chain(rule.head_args, body_terms(rule.body)))))
+    slot = {root: i for i, root in enumerate(roots)}
+    start = [cl.forced.get(root) for root in roots]
+
+    def slots_of(terms: Iterable[Term]) -> tuple[int, ...]:
+        return tuple(slot[cl.term_root(t)] for t in terms)
+
+    derived = [(lit.relation, slots_of(lit.args)) for lit in rule.relational_literals() if lit.relation in idb]
+    if first is not None:
+        derived.insert(0, derived.pop(first))
+    bound_at = {s: -1 for s, v in enumerate(start) if v is not None}
+    order: list = []
+    for relation, args in derived:
+        columns = tuple(j for j, s in enumerate(args) if s in bound_at)
+        binds = tuple((j, s) for j, s in enumerate(args) if s not in bound_at)
+        bound_at.update((s, len(order)) for _, s in binds)
+        order.append((relation, args, columns, binds, len({s for _, s in binds}) < len(binds)))
+    for s in range(len(roots)):
+        if s not in bound_at:
+            bound_at[s] = len(order)
+            order.append(s)
+
+    # Index -1 holds the checks ground from the start.
+    lits: list[list] = [[] for _ in range(len(order) + 1)]
+    neqs: list[list] = [[] for _ in range(len(order) + 1)]
+    for lit in rule.relational_literals():
+        if lit.relation not in idb:
+            args = slots_of(lit.args)
+            lits[max((bound_at[s] for s in args), default=-1)].append((lit.positive, lit.relation, _getter(args)))
+    for cmp_ in rule.comparisons():
+        if cmp_.op == "neq":
+            a, b = slots_of((cmp_.left, cmp_.right))
+            if a == b:
+                return None
+            neqs[max(bound_at[a], bound_at[b])].append((a, b))
+    ground = {(positive, relation, get(start)) for positive, relation, get in lits[-1]}
+    if any((not positive, relation, args) in ground for positive, relation, args in ground):
+        return None
+    steps = tuple(zip(order, lits, neqs))
+    return start, (lits[-1], neqs[-1]), steps, _getter(slots_of(rule.head_args))
+
+
+def _label_search(
+    program: Program, instance: Instance, target: tuple[str, ...], domain: SearchDomain, budget: int | None
+) -> Update | None:
+    """The canonically least minimum repair that inserts only facts over
+    the domain, or None when every repair costs more than ``budget`` (None:
+    no bound).
+
+    A label of a ground derived atom is what one of its proofs needs of the
+    stored facts, as ``(relation, args, positive)`` constraints: the facts
+    to insert (positive, not stored) and to delete (negated, stored), and,
+    for relations read both ways, the facts to keep present or absent, so
+    that a union can see a fact needed both ways.  Its cost is its number
+    of edits.  The edits of a least-cost label of the target are a minimum
+    repair, and every minimum repair is such a label's edits.
+
+    Level k adds to level k-1 the subset-minimal labels of cost exactly k:
+    one round fires every rule, then each round fires only the literals
+    whose symbol gained labels, on the new ones.  A rule instance's label
+    is the union of its literals' labels and constraints; inconsistent
+    unions and unions over k are dropped.  The first level that labels the
+    target gives the answer.
+
+    Fresh constants are interchangeable, so labels are stored up to
+    renaming them, and a rule instance tries only the fresh constants it
+    already uses and the next unused one.  The answer is relabelled onto
+    the least fresh names in string order, as ``_rule_search`` does.
+    """
+    _check_instance(program, instance.facts)
+    if any(ungrounded_vars(rule) for rule in program.rules):
+        raise ValueError("unsafe rule: a variable occurs in no positive literal")
+    present = {(f.relation, f.args) for f in instance.facts}
+    idb = program.idb
+    stored = [lit for r in program.rules for lit in r.relational_literals() if lit.relation not in idb]
+    both = {lit.relation for lit in stored if lit.positive} & {lit.relation for lit in stored if not lit.positive}
+    is_fresh = frozenset(domain.constants) - active_domain(program, instance, target)
+    fresh = [c for c in domain.constants if c in is_fresh]
+    fixed = [c for c in domain.constants if c not in is_fresh]
+    pinned = all(lit.relation != program.answer for r in program.rules for lit in r.relational_literals())
+    plans: dict[tuple[int, int | None], tuple | None] = {}
+    store = _Labels(is_fresh)
+
+    def plan(i: int, first: int | None):
+        if (i, first) not in plans:
+            rule = program.rules[i]
+            binding = _head_binding(rule, target) if pinned and rule.head == program.answer else {}
+            plans[i, first] = None if binding is None else _label_plan(rule, tuple(binding.items()), idb, first)
+        return plans[i, first]
+
+    # The rules that can fire, of the symbols that such rules for the answer
+    # read, directly or not.
+    live: set[int] = set()
+    needed, todo = set(), [program.answer]
+    while todo:
+        symbol = todo.pop()
+        if symbol not in needed:
+            needed.add(symbol)
+            for i, rule in enumerate(program.rules):
+                if rule.head == symbol and plan(i, None) is not None:
+                    live.add(i)
+                    todo.extend(lit.relation for lit in rule.relational_literals() if lit.relation in idb)
+    # The (rule, derived literal) pairs that read each symbol.
+    readers: dict[str, list[tuple[int, int]]] = {}
+    for i in sorted(live):
+        derived = [lit.relation for lit in program.rules[i].relational_literals() if lit.relation in idb]
+        for d, relation in enumerate(derived):
+            readers.setdefault(relation, []).append((i, d))
+
+    def choices(u: int) -> Iterator[tuple[str, int]]:
+        """Values for a new variable, with the count of fresh names in use."""
+        for v in itertools.chain(fixed, fresh[:u]):
+            yield v, u
+        if u < len(fresh):
+            yield fresh[u], u + 1
+
+    def fire(i: int, first: int | None, k: int, out: list, delta: _Labels | None = None) -> None:
+        """Append to ``out`` the canonical ``(relation, args, label, n)`` of
+        each rule instance of cost exactly k, with the ``first``-th derived
+        literal reading ``delta``."""
+        p = plan(i, first)
+        if p is None:
+            return
+        start, pre, steps, head = p
+        relation_out = program.rules[i].head
+        values = list(start)
+
+        def check(lits, neqs, label: frozenset, cost: int):
+            """``label`` and its cost with the constraints of the stored
+            literals ``lits`` added, or None if that is inconsistent, costs
+            over k or breaks one of the inequalities ``neqs``."""
+            for a, b in neqs:
+                if values[a] == values[b]:
+                    return None
+            for positive, relation, get in lits:
+                args = get(values)
+                edit = ((relation, args) in present) != positive
+                if (edit or relation in both) and (relation, args, positive) not in label:
+                    if (relation, args, not positive) in label:
+                        return None
+                    label = label | {(relation, args, positive)}
+                    cost += edit
+            return (label, cost) if cost <= k else None
+
+        def merge(label: frozenset, cost: int, constraints: Iterable[tuple], rho: Mapping[str, str]):
+            """``label`` and its cost with ``constraints`` renamed by ``rho``
+            added, or None if that is inconsistent or costs over k."""
+            added = []
+            for relation, args, positive in constraints:
+                args = tuple(rho.get(a, a) for a in args)
+                if (relation, args, positive) not in label:
+                    if (relation, args, not positive) in label:
+                        return None
+                    added.append((relation, args, positive))
+                    cost += ((relation, args) in present) != positive
+                    if cost > k:
+                        return None
+            return label.union(added), cost
+
+        def join(groups: list, rest: list[str], m: int, rho: dict[str, str], u: int, label: frozenset, cost: int):
+            """Extend ``rho`` injectively to the fresh constants ``rest[m:]``
+            of a matched label, onto the fresh names in use or new ones.
+            ``groups[m]`` holds the label's constraints complete once
+            ``rest[:m]`` are mapped; each is merged as soon as it is, so an
+            inconsistent or too costly map is cut short.  Yields ``(rho, u,
+            label, cost)``."""
+            r = merge(label, cost, groups[m], rho)
+            if r is None:
+                return
+            if m == len(rest):
+                yield rho, u, *r
+                return
+            taken = set(rho.values())
+            for y in fresh[:u]:
+                if y not in taken:
+                    yield from join(groups, rest, m + 1, {**rho, rest[m]: y}, u, *r)
+            if u < len(fresh):
+                yield from join(groups, rest, m + 1, {**rho, rest[m]: fresh[u]}, u + 1, *r)
+
+        def emit(label: frozenset, u: int) -> None:
+            args = head(values)
+            order = [a for a in args if a in is_fresh]
+            if u:
+                wild = {c: tuple("" if a in is_fresh else a for a in c[1]) for c in label}
+                for c in sorted(label, key=lambda c: (c[0], wild[c], c)):
+                    order.extend(a for a in c[1] if a in is_fresh)
+            rho = dict(zip(dict.fromkeys(order), fresh))
+            n = len(rho)
+            rho = {a: b for a, b in rho.items() if a != b}
+            if rho:
+                args = tuple(rho.get(a, a) for a in args)
+                label = frozenset((r, tuple(rho.get(a, a) for a in c), pos) for r, c, pos in label)
+            out.append((relation_out, args, label, n))
+
+        def run(s: int, label: frozenset, cost: int, u: int) -> None:
+            if s == len(steps):
+                if cost == k:
+                    emit(label, u)
+                return
+            step, lits, neqs = steps[s]
+            if isinstance(step, int):
+                for values[step], nu in choices(u):
+                    r = check(lits, neqs, label, cost)
+                    if r is not None:
+                        run(s + 1, *r, nu)
+                return
+            relation, slots, columns, binds, repeats = step
+            source = delta if s == 0 and delta is not None else store
+            for args, child, n in source.lookup(relation, columns, [values[slots[c]] for c in columns]):
+                rho: dict[str, str] = {}
+                if any(
+                    args[c] in is_fresh and rho.setdefault(args[c], values[slots[c]]) != values[slots[c]]
+                    for c in columns
+                ) or len(set(rho.values())) < len(rho):
+                    continue
+                rest = [f for f in fresh[:n] if f not in rho]
+                at = {x: m + 1 for m, x in enumerate(rest)}
+                groups: list[list] = [[] for _ in range(len(rest) + 1)]
+                for con in child:
+                    groups[max((at.get(a, 0) for a in con[1]), default=0)].append(con)
+                for full, nu, joined, c in join(groups, rest, 0, rho, u, label, cost):
+                    for j, sl in binds:
+                        values[sl] = full.get(args[j], args[j])
+                    if repeats and any(values[sl] != full.get(args[j], args[j]) for j, sl in binds):
+                        continue
+                    r = check(lits, neqs, joined, c)
+                    if r is not None:
+                        run(s + 1, *r, nu)
+
+        r = check(*pre, frozenset(), 0)
+        if r is not None:
+            run(0, *r, 0)
+
+    levels = itertools.count() if budget is None else range(budget + 1)
+    for k in levels:
+        found: list = []
+        for i in sorted(live):
+            fire(i, None, k, found)
+        while found:
+            delta = _Labels(is_fresh)
+            for entry in found:
+                if store.add(*entry):
+                    delta.add(*entry)
+            found = []
+            for relation in delta.indexes:
+                for i, d in readers.get(relation, ()):
+                    fire(i, d, k, found, delta)
+        labels = store.by_atom.get((program.answer, target))
+        if labels:
+            break
+    else:
+        return None
+    names = sorted(fresh)
+    keys = []
+    for label in labels:
+        ins = [(r, args) for r, args, positive in label if positive and (r, args) not in present]
+        dels = tuple(sorted((r, args) for r, args, positive in label if not positive and (r, args) in present))
+        keys.append(_least_relabelling(ins, dels, names, is_fresh)[0])
+    ins, dels = min(keys)
+    update = Update.of(itertools.starmap(Fact, ins), itertools.starmap(Fact, dels))
+    # The engine re-checks the answer, independently of the labels.
+    if not eval_member(program, apply_update(instance, update), target):
+        raise AssertionError(f"label fixpoint returned {update}, which is not a repair")
+    return update
 
 
 def ma_min_datalog_positive(program: Program, instance: Instance, target: tuple[str, ...]) -> RepairResult:
     """Positive programs are monotone, so insertions alone suffice and
     insertions over the visible constants plus one fresh constant are
-    complete: any satisfying instance collapses onto them."""
+    complete: any satisfying instance collapses onto them.  ``ma_dec``
+    decides whether a repair exists; if one does, the label search finds the
+    least at some level, so it needs no bound."""
     if not classify(program).is_positive_datalog:
         raise NotPositiveDatalog("program contains negation or inequality atoms")
     program.check_target(target)
     if not ma_dec(program, instance, target):
         return RepairResult.no_repair()
-    base = Saturation(program, instance)
     domain = SearchDomain.for_positive_datalog(program, instance, target)
-    pool = [
-        f
-        for f in facts_over(base.positive, program.arities, domain.constants)
-        if f not in instance.facts
-    ]
-    update = _search_by_size(
-        instance, pool, (), len(pool), lambda i: eval_member(program, i, target, base)
-    )
-    assert update is not None  # a repair exists, so inserting the whole pool is one
-    return RepairResult.found(update)
+    return RepairResult.found(_label_search(program, instance, target, domain, None))
 
 
 def ma_min_spdatalog(
     program: Program, instance: Instance, target: tuple[str, ...], budget: int
 ) -> RepairResult:
-    """Budget-capped search for recursive programs with negated extensional
-    atoms.  Minimal repairs never touch relations the program does not read,
-    never insert into relations it only negates, and never delete from
-    relations it only asserts, so the pools are restricted accordingly."""
+    """Budget-capped label search for recursive programs with negated
+    extensional atoms, over the visible constants plus ``max-arity *
+    budget`` fresh ones."""
     flags = classify(program)
     if not flags.is_semipositive_datalog:
         raise NotSemipositive("negation on derived symbols is not supported")
     program.check_target(target)
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    base = Saturation(program, instance)
     domain = SearchDomain.for_spdatalog(program, instance, target, budget)
-    ins_pool = [
-        f
-        for f in facts_over(base.positive, program.arities, domain.constants)
-        if f not in instance.facts
-    ]
-    del_pool = [f for f in sorted(instance.facts) if f.relation in base.negated]
-    update = _search_by_size(
-        instance, ins_pool, del_pool, budget, lambda i: eval_member(program, i, target, base)
-    )
+    update = _label_search(program, instance, target, domain, budget)
     if update is None:
         return RepairResult.budget_exhausted()
     return RepairResult.found(update)
@@ -553,15 +878,22 @@ def oracle_ma_min(
 
     By default the budget is the most literals in one rule for non-recursive
     queries, which bounds every minimal repair, and ``DEFAULT_SP_BUDGET``
-    otherwise; the domain is the fragment's search domain.
+    otherwise; the domain is the fragment's search domain.  An empty search
+    proves that no repair exists, and reports ``no_repair``, when it ran over
+    that default domain with a budget that bounds every minimal repair: the
+    most literals in one rule for a non-recursive query, the size of the
+    insertion pool for positive datalog.  Otherwise it reports
+    ``budget_exhausted``; that includes every semi-positive program: no
+    bound on its minimal repairs is computed, and its ``!=`` atoms can need
+    more fresh constants than the domain holds.
     """
     if budget is not None and budget < 0:
         raise ValueError("budget must be non-negative")
     flags = classify(program)
-    if budget is None and flags.is_ucq:
-        budget = max((r.positive_count() + r.negative_count() for r in program.rules), default=0)
-    elif budget is None:
-        budget = DEFAULT_SP_BUDGET
+    most = max((r.positive_count() + r.negative_count() for r in program.rules), default=0)
+    if budget is None:
+        budget = most if flags.is_ucq else DEFAULT_SP_BUDGET
+    complete = domain is None
     if domain is None and flags.is_ucq:
         domain = SearchDomain.for_ucq(program, instance, target)
     elif domain is None and flags.is_positive_datalog:
@@ -577,9 +909,11 @@ def oracle_ma_min(
     update = _search_by_size(
         instance, ins_pool, del_pool, budget, lambda i: eval_member(program, i, target)
     )
-    if update is None:
-        return RepairResult.budget_exhausted()
-    return RepairResult.found(update)
+    if update is not None:
+        return RepairResult.found(update)
+    if complete and (flags.is_ucq and budget >= most or flags.is_positive_datalog and budget >= len(ins_pool)):
+        return RepairResult.no_repair()
+    return RepairResult.budget_exhausted()
 
 
 # ---------------------------------------------------------------------------

@@ -246,11 +246,14 @@ def random_join_free_rule(rng: random.Random, consts: tuple[str, ...] = CONSTS) 
     return Rule("ans", head, tuple(body))
 
 
-def random_datalog_program(rng: random.Random, semipositive: bool) -> Program:
+def random_datalog_program(rng: random.Random, semipositive: bool, extra_shapes: bool = False) -> Program:
     """Small fixpoint programs built from a family of safe rule shapes:
     a base rule, optional recursion (linear or nonlinear), and an answer
     rule; semi-positive variants sprinkle negated extensional atoms and
-    inequalities."""
+    inequalities.  ``extra_shapes`` adds, at random, ``X = c`` atoms,
+    constant arguments and a second, recursive derived symbol ``s``; it
+    draws nothing from ``rng`` when off, so existing seeds keep their
+    programs."""
     rules = [Rule("t", (var("X"), var("Y")), (RelLiteral("e", (var("X"), var("Y"))),))]
     if rng.random() < 0.8:
         recursive = rng.choice(
@@ -275,6 +278,19 @@ def random_datalog_program(rng: random.Random, semipositive: bool) -> Program:
         answer_body.append(Comparison("neq", var("X"), var("Y")))
     if rng.random() < 0.3:
         answer_body.append(RelLiteral("u", (var("Y"),)))
+    if extra_shapes:
+        if rng.random() < 0.4:
+            answer_body.append(Comparison("eq", var(rng.choice("XY")), const(rng.choice(CONSTS[:3]))))
+        if rng.random() < 0.4:
+            positive = not semipositive or rng.random() < 0.5
+            answer_body.append(RelLiteral("e", (var("Y"), const(rng.choice(CONSTS[:3]))), positive))
+        if rng.random() < 0.6:
+            step: list = [RelLiteral("e", (var("X"), var("Y"))), RelLiteral("s", (var("Y"),))]
+            if semipositive and rng.random() < 0.5:
+                step.append(RelLiteral("u", (var("X"),), False))
+            rules.append(Rule("s", (var("X"),), (RelLiteral("u", (var("X"),)),)))
+            rules.append(Rule("s", (var("X"),), tuple(step)))
+            answer_body.append(RelLiteral("s", (var(rng.choice("XY")),)))
     head = (var("X"),) if rng.random() < 0.5 else (var("X"), var("Y"))
     rules.append(Rule("ans", head, tuple(answer_body)))
     return make_program(rules, "ans", extra_schema={"e": 2, "u": 1})

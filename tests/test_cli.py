@@ -60,6 +60,14 @@ class TestRepairCommand:
         assert code == 1
         assert "no_repair" in out
 
+    def test_oracle_no_repair_exit(self, triangle):
+        """The oracle's default budget bounds every minimal repair of a
+        non-recursive query, so its empty search proves that none exists."""
+        query, data = triangle
+        code, out, _ = invoke(["repair", "-q", query, "-d", data, "-t", "(1,1,1)", "--oracle"])
+        assert code == 1
+        assert out == "status: no_repair\n"
+
     def test_budget_exhausted_exit(self, tmp_path):
         query = tmp_path / "sp.dl"
         query.write_text(
@@ -109,6 +117,39 @@ class TestRepairCommand:
         code, oracle, _ = invoke(["repair", "-q", query, "-d", data, "-t", target, "--json", "--oracle"])
         assert code == 0
         assert json.loads(oracle)["size"] == json.loads(plain)["size"]
+
+
+SPDL_SRC = "ans(X) :- r(X), !b(X), c(X). r(X) :- a(X). r(X) :- r(Y), e(Y,X).\n"
+
+
+class TestDatalogRepairs:
+    # A 6-node chain whose end n5 is reachable from no a node, has no c fact
+    # and has a b fact that !b(X) forbids: one edit for each.
+    CHAIN = "".join(f"e(n{i},n{i + 1}).\n" for i in range(5)) + "c(n2).\nb(n3).\nb(n5).\n"
+
+    @pytest.mark.parametrize("budget", [["--budget", "3"], []], ids=["budget-3", "default-budget"])
+    def test_size_3_chain_repair(self, tmp_path, budget):
+        query, data = tmp_path / "q.dl", tmp_path / "d.facts"
+        query.write_text(SPDL_SRC)
+        data.write_text(self.CHAIN)
+        code, out, _ = invoke(["repair", "-q", query, "-d", data, "-t", "(n5)", "--json", *budget])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["size"], payload["insert"], payload["delete"]) == (3, ["a(n0)", "c(n5)"], ["b(n5)"])
+
+    @pytest.mark.parametrize("program", [SPDL_SRC, SPDL_SRC.replace("!b(X)", "b(X)")], ids=["semipositive", "positive"])
+    @pytest.mark.parametrize(
+        "fact, complaint",
+        [("r(n1).", "derived relation r"), ("a(n1,n2).", "fact a has arity 2, program uses 1")],
+        ids=["derived-fact", "arity-mismatch"],
+    )
+    def test_bad_instance_is_an_input_error(self, tmp_path, program, fact, complaint):
+        query, data = tmp_path / "q.dl", tmp_path / "d.facts"
+        query.write_text(program)
+        data.write_text(self.CHAIN + fact + "\n")
+        code, out, err = invoke(["repair", "-q", query, "-d", data, "-t", "(n5)"])
+        assert (code, out) == (65, "")
+        assert complaint in err
 
 
 FRAGMENTS = [

@@ -10,7 +10,6 @@ from dlrepair import (
     Instance,
     RelLiteral,
     Rule,
-    Saturation,
     eval_answers,
     eval_datalog,
     eval_datalog_naive,
@@ -21,7 +20,6 @@ from dlrepair import (
     rename,
     var,
 )
-from dlrepair.model import facts_over
 from randgen import (
     random_datalog_instance,
     random_datalog_program,
@@ -205,50 +203,3 @@ class TestFixpointProperties:
             rho = random_renaming(rng, set(program.constants()), set(instance.constants()))
             expected = frozenset(rename(t, rho) for t in eval_answers(program, instance).tuples)
             assert eval_answers(program, rename(instance, rho)).tuples == expected
-
-
-class TestSaturationResume:
-    """``eval_member`` resumed from a base fixpoint must agree with
-    evaluation from scratch, for edits that grow the answer and for edits
-    that do not."""
-
-    PROGRAMS = (
-        # a negated relation feeds a recursive derived relation
-        "ans(X) :- r(X), c(X). r(X) :- a(X), !b(X). r(X) :- r(Y), e(Y,X).",
-        # b is read both positively and negated
-        "ans(X) :- r(X), b(X). r(X) :- a(X), !b(X). r(X) :- r(Y), e(Y,X), !c(Y).",
-        # the semi-positive chain query of the benchmark
-        "ans(X) :- r(X), !b(X), c(X). r(X) :- a(X). r(X) :- r(Y), e(Y,X).",
-    )
-    CONSTS = ("1", "2", "3")
-
-    @pytest.mark.parametrize("text", PROGRAMS, ids=("negation-feeds-recursion", "read-both-ways", "chain"))
-    def test_resumed_membership_equals_fresh_evaluation(self, text):
-        program = parse_program(text)
-        universe = facts_over(("a", "b", "c", "e"), program.arities, self.CONSTS)
-        rng = random.Random(text)
-        disagreements = []
-        for _ in range(1000):
-            base = Instance.of(f for f in universe if rng.random() < 0.4)
-            absent = [f for f in universe if f not in base.facts]
-            ins = rng.sample(absent, min(rng.randint(0, 2), len(absent)))
-            dels = rng.sample(sorted(base.facts), min(rng.randint(0, 2), len(base)))
-            candidate = Instance((base.facts | set(ins)) - set(dels))
-            saturation = Saturation(program, base)
-            for t in self.CONSTS:
-                if eval_member(program, candidate, (t,), saturation) != eval_member(program, candidate, (t,)):
-                    disagreements.append((base, ins, dels, t))
-        assert not disagreements, f"{len(disagreements)} disagree, first {disagreements[0]}"
-
-    def test_inserted_facts_are_checked(self):
-        program = parse_program(self.PROGRAMS[2])
-        saturation = Saturation(program, parse_instance("a(1). c(1)."))
-        with pytest.raises(ValueError, match="derived relation"):
-            eval_member(program, parse_instance("a(1). c(1). r(1)."), ("1",), saturation)
-        with pytest.raises(ArityMismatch):
-            eval_member(program, parse_instance("a(1). c(1). e(1)."), ("1",), saturation)
-
-    def test_base_of_another_program_rejected(self):
-        saturation = Saturation(parse_program(self.PROGRAMS[0]), Instance.of())
-        with pytest.raises(ValueError, match="different program"):
-            eval_member(parse_program(self.PROGRAMS[2]), Instance.of(), ("1",), saturation)

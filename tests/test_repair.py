@@ -426,6 +426,39 @@ class TestOracle:
             oracle = oracle_ma_min(program, instance, target, domain, 2)
             assert (oracle.status, oracle.repair) == (solver.status, solver.repair)
 
+    @staticmethod
+    def compare_datalog_solvers(seed, count, budget, extra_shapes=False):
+        """As above, at any budget; a positive ``no_repair`` must exhaust the
+        oracle, which reports ``budget_exhausted`` over a given domain."""
+        rng = random.Random(seed)
+        consts = ("a", "b", "c")
+        for i in range(count):
+            semipositive = i % 2 == 0
+            program = random_datalog_program(rng, semipositive, extra_shapes)
+            instance = random_datalog_instance(rng, max_facts=4, consts=consts)
+            target = random_target(rng, program.arity, consts)
+            if semipositive:
+                domain = SearchDomain.for_spdatalog(program, instance, target, budget)
+                solver = ma_min_spdatalog(program, instance, target, budget)
+            else:
+                domain = SearchDomain.for_positive_datalog(program, instance, target)
+                solver = ma_min_datalog_positive(program, instance, target)
+                if solver.size is not None and solver.size > budget:
+                    continue
+            oracle = oracle_ma_min(program, instance, target, domain, budget)
+            if solver.status == "no_repair":
+                assert oracle.status == "budget_exhausted"
+            else:
+                assert (oracle.status, oracle.repair) == (solver.status, solver.repair)
+
+    def test_matches_datalog_solvers_on_small_inputs_at_budget_3(self):
+        self.compare_datalog_solvers(33, 30, 3)
+
+    def test_matches_datalog_solvers_on_extra_shapes(self):
+        """Programs with ``X = c`` atoms, constant arguments and a second
+        recursive derived symbol."""
+        self.compare_datalog_solvers(34, 60, 2, extra_shapes=True)
+
     def test_negative_budget_rejected(self):
         domain = SearchDomain.for_ucq(TRIANGLE, Instance.of(), ("1", "2", "3"))
         with pytest.raises(ValueError, match="budget must be non-negative"):
