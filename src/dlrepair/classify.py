@@ -7,6 +7,7 @@ variable renaming never changes a flag.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 from .model import Comparison, Program, Rule
@@ -30,13 +31,13 @@ class QueryClass:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _is_recursive(program: Program) -> bool:
+def _is_recursive(rules: tuple[Rule, ...]) -> bool:
     """Does the head-dependency graph have a cycle?  Kahn's algorithm:
     repeatedly remove symbols whose rules read no remaining symbol; the
     graph is acyclic iff that removes them all."""
-    idb = program.idb
+    idb = frozenset(r.head for r in rules)
     reads: dict[str, set[str]] = {sym: set() for sym in idb}
-    for r in program.rules:
+    for r in rules:
         for lit in r.relational_literals():
             if lit.relation in idb:
                 reads[r.head].add(lit.relation)
@@ -76,20 +77,25 @@ def _selection_free_rule(rule: Rule) -> bool:
 
 
 def classify(program: Program) -> QueryClass:
-    idb = program.idb
-    rules = program.rules
+    return _classify(program.rules, program.answer)
 
+
+# The rules and the answer are all a classification reads.  Bounded, since a
+# long-lived process may classify many distinct programs.
+@functools.lru_cache(maxsize=4096)
+def _classify(rules: tuple[Rule, ...], answer: str) -> QueryClass:
+    idb = frozenset(r.head for r in rules)
     has_negation = any(not lit.positive for r in rules for lit in r.relational_literals())
     has_comparisons = any(isinstance(lit, Comparison) for r in rules for lit in r.body)
     has_neq = any(
         isinstance(lit, Comparison) and lit.op == "neq" for r in rules for lit in r.body
     )
-    recursive = _is_recursive(program)
+    recursive = _is_recursive(rules)
 
     bodies_extensional = all(
         lit.relation not in idb for r in rules for lit in r.relational_literals()
     )
-    is_ucq = bodies_extensional and all(r.head == program.answer for r in rules)
+    is_ucq = bodies_extensional and all(r.head == answer for r in rules)
     is_cq = is_ucq and len(rules) == 1 and not has_negation and not has_neq
 
     self_join_free = True

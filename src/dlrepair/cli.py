@@ -248,10 +248,11 @@ def run(argv: list[str], out=None, err=None) -> int:
         print(f"error: {exc}", file=err)
         return EXIT_INPUT
     except RecursionError:
-        # The repair branch and bound recurses once per variable class of a rule.
+        # The repair label search recurses once per step of a rule's plan:
+        # each derived literal and each variable class they leave unbound.
         print(
             f"error: input too deep: exceeded the recursion limit of {sys.getrecursionlimit()} "
-            "(the repair search takes a frame per variable class of a rule)",
+            "(the repair search takes a frame per derived literal and per unbound variable class of a rule)",
             file=err,
         )
         return EXIT_INPUT

@@ -5,9 +5,10 @@ fixpoint is kept for the tests to compare.  Each rule runs a join plan
 compiled once from its equality closure (``_plan``), without recursion.
 Membership in a non-recursive query's answer skips the fixpoint: the plan
 runs with the head bound to the target and stops at its first solution.
-The datalog repair solvers do not evaluate candidate instances here: they
-ground rules themselves, over edit labels (``repair._label_search``), and
-call ``eval_member`` once to check the repair they return.
+The repair solvers do not evaluate candidate instances here: they ground
+rules themselves, over edit labels (``repair._label_search``).  The datalog
+solvers call ``eval_member`` once to check the repair they return; for a
+non-recursive query, the repair's witness assignment checks it instead.
 """
 
 from __future__ import annotations

@@ -1,30 +1,34 @@
 """Minimum-cardinality repair solvers.
 
-Three search strategies share one contract: find the smallest set of fact
-insertions and deletions placing the target tuple in the query answer.
+Every solver finds the smallest set of fact insertions and deletions
+placing the target tuple in the query answer.
 
-* non-recursive queries with negated atoms: per rule, a branch and bound
-  over assignments that tries only one labelling of the interchangeable
-  fresh constants, plus a closed-form fast path for rules with a single
-  atom; a rule without projection needs no search, since the head binding
-  forces every class and the branch and bound visits a single leaf;
-* datalog, positive or with negated stored atoms: one fixpoint that labels
-  each derived atom with the minimal edit sets of its proofs, cut off at a
-  cost that rises from 0 until the target has a label (``_label_search``);
-  positive programs insert over the visible constants plus one fresh
-  constant, complete by monotonicity, and recursive programs with negation
-  stop at the budget, over ``max-arity * budget`` fresh constants (no
-  finite bound on minimal repair size is computed, so exhausting the
-  budget is a distinct outcome from proving no repair exists);
+* one fixpoint that labels each derived atom with the minimal edit sets of
+  its proofs, cut off at a cost that rises from 0 until the target has a
+  label (``_label_search``).  It serves every fragment:
+  - non-recursive queries with negated atoms, whose rules read no derived
+    symbol, so one round per level labels the target; the most literals in
+    one rule bounds the search, and rules with a single atom take a
+    closed-form fast path instead; a rule without projection needs no
+    search, since the head binding assigns every variable;
+  - positive datalog, inserting over the visible constants plus one fresh
+    constant, complete by monotonicity;
+  - recursive programs with negated stored atoms, stopping at the budget,
+    over ``max-arity * budget`` fresh constants (no finite bound on
+    minimal repair size is computed, so exhausting the budget is a
+    distinct outcome from proving no repair exists);
 * a brute-force oracle that enumerates every update over a given domain in
   order of size, used by tests and the CLI's ``--oracle`` mode.
 
 All solvers break ties deterministically: among minimum-size repairs, the
 one whose (sorted insertions, sorted deletions) pair is lexicographically
-least under the canonical fact order.  The per-rule search and the label
-search keep this by relabelling the fresh constants of each answer onto
-the least fresh names, and the single-atom path builds the least matching
-fact position by position.
+least under the canonical fact order.  The label search keeps this by
+relabelling the fresh constants of each answer onto the least fresh names,
+and the single-atom path builds the least matching fact position by
+position.  For non-recursive queries the result also carries a witness, an
+assignment of one rule's variables that induces the repair
+(``repair_for_assignment``); between witnesses of the same repair, the
+order of the search decides.
 """
 
 from __future__ import annotations
@@ -164,165 +168,6 @@ def repair_for_assignment(rule: Rule, assignment: Mapping[str, str], instance: I
 
 
 # ---------------------------------------------------------------------------
-# General per-rule search (branch and bound)
-
-
-def _least_relabelling(
-    ins: Sequence[tuple], dels: tuple[tuple, ...], names: Sequence[str], fresh: frozenset[str]
-) -> tuple[tuple, dict[str, str]]:
-    """The canonically least ``(insertions, deletions)`` key of an update
-    given as fact tuples, over every map of the fresh constants of its
-    insertions onto the least fresh ``names``, and that map.  Deletions hold
-    no fresh constant."""
-    moved = sorted({a for _, args in ins for a in args if a in fresh})
-    key = rho = None
-    for perm in itertools.permutations(names[: len(moved)]):
-        r = dict(zip(moved, perm))
-        k = (tuple(sorted((rel, tuple(r.get(a, a) for a in args)) for rel, args in ins)), dels)
-        if key is None or k < key:
-            key, rho = k, r
-    return key, rho
-
-
-def _rule_search(
-    rule: Rule,
-    instance: Instance,
-    domain: Sequence[str],
-    target: tuple[str, ...],
-    fresh: frozenset[str],
-) -> tuple[Update, dict[str, str]] | None:
-    """Minimum repair for one rule by branch and bound over assignments of
-    the domain to the rule's free equality classes, with the head pinned to
-    the target.
-
-    Classes are bound in order of first occurrence, and a literal is
-    grounded when its last class is bound.  Each node probes its children
-    without binding them, tries them in order of (added cost, domain
-    index), and stops at the first whose cost exceeds the best complete
-    assignment's.  The ``fresh`` constants occur in neither the rule, the
-    instance nor the target, so they are interchangeable: a class tries only
-    the fresh constants already in use and the next unused one, and each
-    leaf is relabelled onto the least fresh names before it is compared, so
-    the canonically least repair is still the one returned.
-    """
-    binding = _head_binding(rule, target)
-    if binding is None:
-        return None
-    cl = _Closure(rule, binding)
-    if cl.conflict:
-        return None
-
-    literals = rule.relational_literals()
-    neqs = [c for c in rule.comparisons() if c.op != "eq"]
-    # values[i] holds class i's value while it is bound; constants follow.
-    index: dict[tuple[str, str], int] = {}
-    for t in itertools.chain(*(lit.args for lit in literals), *((c.left, c.right) for c in neqs)):
-        root = cl.term_root(t)
-        if root not in cl.forced:
-            index.setdefault(root, len(index))
-    nrep = len(index)
-    values: list[str | None] = [None] * nrep
-
-    def slot(t: Term) -> int:
-        root = cl.term_root(t)
-        if root in index:
-            return index[root]
-        values.append(cl.forced[root])
-        return len(values) - 1
-
-    # Level nrep grounds what no class reaches; level i what class i completes.
-    neq_at: list[list[tuple[int, int]]] = [[] for _ in range(nrep + 1)]
-    for cmp_ in neqs:
-        ra, rb = cl.term_root(cmp_.left), cl.term_root(cmp_.right)
-        if ra == rb or cl.forced.get(ra, ra) == cl.forced.get(rb, rb):
-            return None  # one class, or two classes forced to one constant
-        a, b = slot(cmp_.left), slot(cmp_.right)
-        if min(a, b) < nrep:
-            neq_at[max(s for s in (a, b) if s < nrep)].append((a, b))
-    grounds_at: list[list[tuple[bool, str, Callable]]] = [[] for _ in range(nrep + 1)]
-    for lit in literals:
-        slots = tuple(slot(t) for t in lit.args)
-        at = max((s for s in slots if s < nrep), default=nrep)
-        grounds_at[at].append((lit.positive, lit.relation, _getter(slots)))
-    present = {(f.relation, f.args) for f in instance.facts}
-    required: set[tuple] = set()
-    forbidden: set[tuple] = set()
-
-    def probe(level: int):
-        """(added cost, new required keys, new forbidden keys) of grounding
-        a level under the current values, or None when infeasible."""
-        for a, b in neq_at[level]:
-            if values[a] == values[b]:
-                return None
-        pos, neg = set(), set()
-        for positive, relation, get in grounds_at[level]:
-            (pos if positive else neg).add((relation, get(values)))
-        if not (pos.isdisjoint(neg) and pos.isdisjoint(forbidden) and neg.isdisjoint(required)):
-            return None
-        pos -= required
-        neg -= forbidden
-        return len(pos - present) + len(neg & present), pos, neg
-
-    base = probe(nrep)
-    if base is None:
-        return None
-    required |= base[1]
-    forbidden |= base[2]
-
-    fixed = [vi for vi, v in enumerate(domain) if v not in fresh]
-    fresh_at = [vi for vi, v in enumerate(domain) if v in fresh]
-    names = sorted(fresh)
-    best = None  # (size, key, relabelling, values)
-
-    def leaf(cost: int) -> None:
-        nonlocal best
-        ins = [k for k in required if k not in present]
-        dels = tuple(sorted(k for k in forbidden if k in present))
-        key, rho = _least_relabelling(ins, dels, names, fresh)
-        if best is None or (cost, key) < best[:2]:
-            best = (cost, key, rho, values[:nrep])
-
-    def dfs(i: int, cost: int, used: int) -> None:
-        if i == nrep:
-            leaf(cost)
-            return
-        children = []
-        for vi in itertools.chain(fixed, fresh_at[: used + 1]):
-            values[i] = domain[vi]
-            probed = probe(i)
-            if probed is not None:
-                children.append((probed[0], vi, probed[1], probed[2]))
-        children.sort()
-        nxt = fresh_at[used] if used < len(fresh_at) else None
-        for delta, vi, pos, neg in children:
-            if best is not None and cost + delta > best[0]:
-                break
-            values[i] = domain[vi]
-            required.update(pos)
-            forbidden.update(neg)
-            dfs(i + 1, cost + delta, used + (vi == nxt))
-            required.difference_update(pos)
-            forbidden.difference_update(neg)
-
-    dfs(0, base[0], 0)
-    if best is None:
-        return None
-    _, (ins, dels), rho, bound = best
-    # Fresh constants of the witness outside the insertions take the least
-    # names the relabelling left free.
-    spare = iter(n for n in names if n not in rho.values())
-    for v in bound:
-        if v in fresh and v not in rho:
-            rho[v] = next(spare)
-    assignment: dict[str, str] = {}
-    for name in rule.all_vars:
-        root = cl.term_root(var(name))
-        v = cl.forced[root] if root in cl.forced else bound[index[root]]
-        assignment[name] = rho.get(v, v)
-    return Update.of((Fact(*k) for k in ins), (Fact(*k) for k in dels)), assignment
-
-
-# ---------------------------------------------------------------------------
 # Single-rule solvers
 
 
@@ -392,24 +237,24 @@ def _join_free(rule: Rule, instance: Instance, target: tuple[str, ...], domain: 
 
 
 def ma_min_projection_free(rule: Rule, instance: Instance, target: tuple[str, ...]) -> RepairResult:
-    """Rules with no bound variables: the head binding leaves no class to
-    choose, so the search over an empty domain visits one leaf, the
-    repair the head binding induces."""
+    """Rules with no bound variables: the head binding assigns every
+    variable, so the repair is the one it induces."""
     if rule.bound_vars:
         raise NotProjectionFree(f"rule for {rule.head} has bound variables")
     if len(target) != len(rule.head_args):
         raise ArityMismatch(f"target has length {len(target)}, head arity is {len(rule.head_args)}")
-    res = _rule_search(rule, instance, (), target, frozenset())
-    if res is None:
+    binding = _head_binding(rule, target)
+    update = None if binding is None else repair_for_assignment(rule, binding, instance)
+    if update is None:
         return RepairResult.no_repair()
-    return RepairResult.found(*res)
+    return RepairResult.found(update, binding)
 
 
 def ma_min_join_free(rule: Rule, instance: Instance, target: tuple[str, ...]) -> RepairResult:
     """Rules whose body is a single relational literal (plus comparisons):
     the repair is empty or a single insertion/deletion."""
     if len(rule.relational_literals()) != 1:
-        raise NotJoinFree(f"rule for {rule.head} has more than one relational literal")
+        raise NotJoinFree(f"rule for {rule.head} does not have exactly one relational literal")
     if len(target) != len(rule.head_args):
         raise ArityMismatch(f"target has length {len(target)}, head arity is {len(rule.head_args)}")
     program = Program((rule,), rule.head, {})
@@ -429,34 +274,39 @@ def ma_min_ucqneg(
     target: tuple[str, ...],
     dispatch: bool = True,
 ) -> RepairResult:
-    """Exact minimum repair for a non-recursive query: per rule, the best
-    assignment over the search domain; across rules, the smallest result.
+    """Exact minimum repair for a non-recursive query: one label search over
+    its rules, at the most literals in one of them, which bounds every
+    minimal repair, so a search that finds none proves there is none.
 
     ``dispatch`` routes rules with a single atom to their closed-form
-    solver; disabling it forces the general search everywhere.
+    solver and searches only the others; disabling it searches every rule.
+    The smallest result wins, ties going to the canonically least.  The
+    witness is an assignment of one rule's variables that induces the
+    repair (``repair_for_assignment``); between witnesses of the same
+    repair, the closed-form ones come first, in rule order, then the order
+    of the search decides.
     """
     flags = classify(program)
     if not flags.is_ucq:
-        raise NotUcq("the exhaustive-assignment solver needs a non-recursive query")
+        raise NotUcq("this solver needs a non-recursive query")
     program.check_target(target)
     _check_instance(program, instance.facts)
-    domain = SearchDomain.for_ucq(program, instance, target).constants
-    fresh = frozenset(domain) - active_domain(program, instance, target)
-    best = None
+    domain = SearchDomain.for_ucq(program, instance, target)
+    results = []
+    searched = []
     for rule in program.rules:
         if dispatch and len(rule.relational_literals()) == 1:
-            res = _join_free(rule, instance, target, domain)
+            results.append(_join_free(rule, instance, target, domain.constants))
         else:
-            res = _rule_search(rule, instance, domain, target, fresh)
-        if res is None:
-            continue
-        update, witness = res
-        cand = (update_size(update), canonical_key(update), update, witness)
-        if best is None or cand[:2] < best[:2]:
-            best = cand
-    if best is None:
+            searched.append(rule)
+    if searched:
+        budget = max(r.positive_count() + r.negative_count() for r in searched)
+        searched_program = Program(tuple(searched), program.answer, program.schema)
+        results.append(_label_search(searched_program, instance, target, domain, budget))
+    found = [res for res in results if res is not None]
+    if not found:
         return RepairResult.no_repair()
-    return RepairResult.found(best[2], best[3])
+    return RepairResult.found(*min(found, key=lambda res: (update_size(res[0]), canonical_key(res[0]))))
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +393,23 @@ class _Labels:
         return indexes[columns].get(self._key(values), ())
 
 
+def _least_relabelling(
+    ins: Sequence[tuple], dels: tuple[tuple, ...], names: Sequence[str], fresh: frozenset[str]
+) -> tuple[tuple, dict[str, str]]:
+    """The canonically least ``(insertions, deletions)`` key of an update
+    given as fact tuples, over every map of the fresh constants of its
+    insertions onto the least fresh ``names``, and that map.  Deletions hold
+    no fresh constant."""
+    moved = sorted({a for _, args in ins for a in args if a in fresh})
+    key = rho = None
+    for perm in itertools.permutations(names[: len(moved)]):
+        r = dict(zip(moved, perm))
+        k = (tuple(sorted((rel, tuple(r.get(a, a) for a in args)) for rel, args in ins)), dels)
+        if key is None or k < key:
+            key, rho = k, r
+    return key, rho
+
+
 # Bounded, since a long-lived process may solve for many distinct programs.
 @functools.lru_cache(maxsize=4096)
 def _label_plan(rule: Rule, binding: tuple[tuple[str, str], ...], idb: frozenset[str], first: int | None):
@@ -551,8 +418,9 @@ def _label_plan(rule: Rule, binding: tuple[tuple[str, str], ...], idb: frozenset
     can satisfy it.
 
     An assignment is a list with a slot per equality class, forced classes
-    filled in.  The plan is ``(start, pre, steps, head)``: that list, the
-    checks ground from the start, the steps and the head tuple's reader.  A
+    filled in.  The plan is ``(start, pre, steps, head, variables)``: that
+    list, the checks ground from the start, the steps, the head tuple's
+    reader and the (name, slot) pair of each variable, by name.  A
     step is a derived literal ``(relation, slots, columns, binds, repeats)``,
     matched against stored labels by its argument positions ``columns``
     that are already bound and binding the ``binds`` pairs (position, slot),
@@ -604,15 +472,16 @@ def _label_plan(rule: Rule, binding: tuple[tuple[str, str], ...], idb: frozenset
     if any((not positive, relation, args) in ground for positive, relation, args in ground):
         return None
     steps = tuple(zip(order, lits, neqs))
-    return start, (lits[-1], neqs[-1]), steps, _getter(slots_of(rule.head_args))
+    variables = tuple((name, slot[cl.term_root(var(name))]) for name in sorted(rule.all_vars))
+    return start, (lits[-1], neqs[-1]), steps, _getter(slots_of(rule.head_args)), variables
 
 
 def _label_search(
     program: Program, instance: Instance, target: tuple[str, ...], domain: SearchDomain, budget: int | None
-) -> Update | None:
+) -> tuple[Update, dict[str, str] | None] | None:
     """The canonically least minimum repair that inserts only facts over
-    the domain, or None when every repair costs more than ``budget`` (None:
-    no bound).
+    the domain, with a witness, or None when every repair costs more than
+    ``budget`` (None: no bound).
 
     A label of a ground derived atom is what one of its proofs needs of the
     stored facts, as ``(relation, args, positive)`` constraints: the facts
@@ -632,11 +501,18 @@ def _label_search(
     Fresh constants are interchangeable, so labels are stored up to
     renaming them, and a rule instance tries only the fresh constants it
     already uses and the next unused one.  The answer is relabelled onto
-    the least fresh names in string order, as ``_rule_search`` does.
+    the least fresh names in string order.
+
+    When no rule that can fire reads a derived symbol, the program is a
+    union of rules over stored facts, and the witness is an assignment of
+    the rule variables that induces the repair (``repair_for_assignment``):
+    the first one, in search order, that produced the winning label,
+    relabelled like it, its other fresh constants taking the least unused
+    names.  That check replaces the engine's, so such rules need not be
+    safe.  Otherwise the witness is None, unsafe rules raise ValueError and
+    the engine checks the repair.
     """
     _check_instance(program, instance.facts)
-    if any(ungrounded_vars(rule) for rule in program.rules):
-        raise ValueError("unsafe rule: a variable occurs in no positive literal")
     present = {(f.relation, f.args) for f in instance.facts}
     idb = program.idb
     stored = [lit for r in program.rules for lit in r.relational_literals() if lit.relation not in idb]
@@ -673,6 +549,10 @@ def _label_search(
         derived = [lit.relation for lit in program.rules[i].relational_literals() if lit.relation in idb]
         for d, relation in enumerate(derived):
             readers.setdefault(relation, []).append((i, d))
+    if readers and any(ungrounded_vars(rule) for rule in program.rules):
+        raise ValueError("unsafe rule: a variable occurs in no positive literal")
+    # The first (rule, assignment) of each label of the target, for unions.
+    witnesses: dict[frozenset, tuple[int, dict[str, str]]] | None = None if readers else {}
 
     def choices(u: int) -> Iterator[tuple[str, int]]:
         """Values for a new variable, with the count of fresh names in use."""
@@ -688,7 +568,7 @@ def _label_search(
         p = plan(i, first)
         if p is None:
             return
-        start, pre, steps, head = p
+        start, pre, steps, head, variables = p
         relation_out = program.rules[i].head
         values = list(start)
 
@@ -703,11 +583,11 @@ def _label_search(
                 args = get(values)
                 edit = ((relation, args) in present) != positive
                 if (edit or relation in both) and (relation, args, positive) not in label:
-                    if (relation, args, not positive) in label:
+                    cost += edit
+                    if cost > k or (relation, args, not positive) in label:
                         return None
                     label = label | {(relation, args, positive)}
-                    cost += edit
-            return (label, cost) if cost <= k else None
+            return label, cost
 
         def merge(label: frozenset, cost: int, constraints: Iterable[tuple], rho: Mapping[str, str]):
             """``label`` and its cost with ``constraints`` renamed by ``rho``
@@ -751,13 +631,21 @@ def _label_search(
                 wild = {c: tuple("" if a in is_fresh else a for a in c[1]) for c in label}
                 for c in sorted(label, key=lambda c: (c[0], wild[c], c)):
                     order.extend(a for a in c[1] if a in is_fresh)
-            rho = dict(zip(dict.fromkeys(order), fresh))
-            n = len(rho)
+            moved = dict.fromkeys(order)
+            n = len(moved)
+            witness = witnesses is not None and args == target
+            if witness:
+                # The assignment's other fresh constants follow, so that
+                # renaming it stays one-to-one.
+                moved.update((v, None) for v in values if v in is_fresh)
+            rho = dict(zip(moved, fresh))
             rho = {a: b for a, b in rho.items() if a != b}
             if rho:
                 args = tuple(rho.get(a, a) for a in args)
                 label = frozenset((r, tuple(rho.get(a, a) for a in c), pos) for r, c, pos in label)
             out.append((relation_out, args, label, n))
+            if witness and label not in witnesses:
+                witnesses[label] = (i, {name: rho.get(values[s], values[s]) for name, s in variables})
 
         def run(s: int, label: frozenset, cost: int, u: int) -> None:
             if s == len(steps):
@@ -818,17 +706,29 @@ def _label_search(
     else:
         return None
     names = sorted(fresh)
-    keys = []
+    best = None
     for label in labels:
         ins = [(r, args) for r, args, positive in label if positive and (r, args) not in present]
         dels = tuple(sorted((r, args) for r, args, positive in label if not positive and (r, args) in present))
-        keys.append(_least_relabelling(ins, dels, names, is_fresh)[0])
-    ins, dels = min(keys)
+        key, rho = _least_relabelling(ins, dels, names, is_fresh)
+        if best is None or key < best[0]:
+            best = key, rho, label
+    (ins, dels), rho, label = best
     update = Update.of(itertools.starmap(Fact, ins), itertools.starmap(Fact, dels))
-    # The engine re-checks the answer, independently of the labels.
-    if not eval_member(program, apply_update(instance, update), target):
-        raise AssertionError(f"label fixpoint returned {update}, which is not a repair")
-    return update
+    if witnesses is None:
+        # The engine re-checks the answer, independently of the labels.
+        if not eval_member(program, apply_update(instance, update), target):
+            raise AssertionError(f"label fixpoint returned {update}, which is not a repair")
+        return update, None
+    i, assignment = witnesses[label]
+    spare = iter(name for name in names if name not in rho.values())
+    for v in assignment.values():
+        if v in is_fresh and v not in rho:
+            rho[v] = next(spare)
+    witness = {name: rho.get(v, v) for name, v in assignment.items()}
+    if repair_for_assignment(program.rules[i], witness, instance) != update:
+        raise AssertionError(f"label search returned {update}, which {witness} does not induce")
+    return update, witness
 
 
 def ma_min_datalog_positive(program: Program, instance: Instance, target: tuple[str, ...]) -> RepairResult:
@@ -843,7 +743,7 @@ def ma_min_datalog_positive(program: Program, instance: Instance, target: tuple[
     if not ma_dec(program, instance, target):
         return RepairResult.no_repair()
     domain = SearchDomain.for_positive_datalog(program, instance, target)
-    return RepairResult.found(_label_search(program, instance, target, domain, None))
+    return RepairResult.found(_label_search(program, instance, target, domain, None)[0])
 
 
 def ma_min_spdatalog(
@@ -859,10 +759,10 @@ def ma_min_spdatalog(
     if budget < 0:
         raise ValueError("budget must be non-negative")
     domain = SearchDomain.for_spdatalog(program, instance, target, budget)
-    update = _label_search(program, instance, target, domain, budget)
-    if update is None:
+    res = _label_search(program, instance, target, domain, budget)
+    if res is None:
         return RepairResult.budget_exhausted()
-    return RepairResult.found(update)
+    return RepairResult.found(res[0])
 
 
 def oracle_ma_min(

@@ -327,7 +327,7 @@ class TestErrors:
         assert "variable Y occurs in no positive literal" in err
 
     def test_recursion_limit_is_an_input_error(self, tmp_path):
-        # The repair branch and bound recurses once per variable class of a
+        # The repair label search recurses once per variable class of a
         # rule, so a rule with 1,001 classes exceeds the default limit; that
         # must not read as "no repair" (exit 1).  Evaluation does not recurse
         # and answers on the same rule.

@@ -213,6 +213,11 @@ class TestJoinFree:
         with pytest.raises(NotJoinFree):
             ma_min_join_free(rule, Instance.of(), ("1", "2", "3"))
 
+    def test_rejects_rule_without_relational_literal(self):
+        rule = parse_program("ans(X) :- X = a.").rules[0]
+        with pytest.raises(NotJoinFree, match="does not have exactly one relational literal"):
+            ma_min_join_free(rule, Instance.of(), ("a",))
+
     def test_least_insertion_reuses_constants(self):
         # The least matching fact repeats a value where no comparison
         # forbids it, as the general search and the oracle do.
@@ -401,6 +406,14 @@ class TestOracle:
             for dispatch in (True, False):
                 solver = ma_min_ucqneg(program, instance, target, dispatch=dispatch)
                 assert (solver.status, solver.repair) == expected
+                if solver.status == "found":
+                    # The witness is an assignment of one rule's variables
+                    # that induces the repair.
+                    witness = solver.witness_assignment
+                    assert any(
+                        set(witness) == rule.all_vars and repair_for_assignment(rule, witness, instance) == solver.repair
+                        for rule in program.rules
+                    ), (program, instance, target, dispatch)
 
     def test_matches_datalog_solvers_on_small_inputs(self):
         """Budget 2 bounds both searches, so the semi-positive solver and the
