@@ -34,6 +34,7 @@ from .model import (
     fresh_constants,
     make_program,
     rename,
+    specialize,
     update_size,
     validate_program,
     var,
@@ -85,7 +86,6 @@ from .sat import (
     sat_datalog_positive,
     sat_query,
     sat_ucqneg,
-    specialize,
 )
 from .setcover import (
     CapExceeded,

@@ -3,8 +3,9 @@
 Answers come from a bottom-up fixpoint, semi-naive by default; a naive
 fixpoint is kept for the tests to compare.  Each rule runs a join plan
 compiled once from its equality closure (``_plan``), without recursion.
-Membership in a non-recursive query's answer skips the fixpoint: the plan
-runs with the head bound to the target and stops at its first solution.
+Membership runs the query specialised to the target (``model.specialize``):
+a non-recursive query skips the fixpoint and stops at the first solution
+of a pinned rule, and a datalog program computes its goal's fixpoint.
 The repair solvers do not evaluate candidate instances here: they ground
 rules themselves, over edit labels (``repair._label_search``).  The datalog
 solvers call ``eval_member`` once to check the repair they return; for a
@@ -30,8 +31,8 @@ from .model import (
     Rule,
     Term,
     _Closure,
+    specialize,
     ungrounded_vars,
-    var,
 )
 
 
@@ -111,26 +112,26 @@ def _check_instance(program: Program, facts: Iterable[Fact]) -> None:
 
 # Bounded, since a long-lived process may evaluate many distinct programs.
 @functools.lru_cache(maxsize=4096)
-def _plan(rule: Rule, bound: frozenset[str]) -> tuple | None:
-    """The join plan of ``rule`` with the names in ``bound`` given on entry,
-    or None when its equality atoms equate two distinct constants.
+def _plan(rule: Rule) -> tuple | None:
+    """The join plan of ``rule``, or None when its equality atoms equate two
+    distinct constants.  A target reaches a rule only as equality atoms
+    (``model.pin``).
 
     An assignment is a list with a slot per equality class.  The plan is
-    ``(names, constants, size, steps, head)``: the bound names, the
-    constants the closure forces, the number of slots, the steps, and the
-    head tuple's reader.  A step ``(pos, relation, columns, key, repeats,
-    binds, negated, unequal)`` looks up the tuples of body literal ``pos``
-    holding the ``key`` slots' values at ``columns`` and copies columns into
-    slots by ``binds``; it drops the assignment if a slot that ``binds``
-    repeats got two values, a ``negated`` literal's tuple is stored, or an
-    ``unequal`` pair agrees.  Step 0 reads one row instead, the names'
-    values then the constants; the positive literals follow, fewest unbound
-    arguments first and lowest body index on ties.  Each check sits at the
-    first step where it is ground.
+    ``(constants, size, steps, head)``: the constants the closure forces,
+    the number of slots, the steps, and the head tuple's reader.  A step
+    ``(pos, relation, columns, key, repeats, binds, negated, unequal)``
+    looks up the tuples of body literal ``pos`` holding the ``key`` slots'
+    values at ``columns`` and copies columns into slots by ``binds``; it
+    drops the assignment if a slot that ``binds`` repeats got two values, a
+    ``negated`` literal's tuple is stored, or an ``unequal`` pair agrees.
+    Step 0 reads one row instead, the constants; the positive literals
+    follow, fewest unbound arguments first and lowest body index on ties.
+    Each check sits at the first step where it is ground.
     """
-    if ungrounded_vars(rule) - bound:
+    if ungrounded_vars(rule):
         raise ValueError("unsafe rule: a variable occurs in no positive literal")
-    closure = _Closure(rule, {})
+    closure = _Closure(rule)
     if closure.conflict:
         return None
     slots = {root: i for i, root in enumerate(dict.fromkeys(map(closure.find, list(closure.parent))))}
@@ -138,10 +139,8 @@ def _plan(rule: Rule, bound: frozenset[str]) -> tuple | None:
     def slots_of(terms: Iterable[Term]) -> tuple[int, ...]:
         return tuple(slots[closure.term_root(t)] for t in terms)
 
-    names = tuple(sorted(bound))
     forced = {slots[root]: value for root, value in closure.forced.items()}
-    entry = tuple(slots[closure.term_root(var(name))] for name in names) + tuple(forced)
-    bound_at = dict.fromkeys(entry, 0)
+    bound_at = dict.fromkeys(forced, 0)
     positives: list[tuple[int, str, tuple[int, ...]]] = []
     readers: dict[int, list[int]] = {}
     for pos, lit in enumerate(rule.body):
@@ -154,7 +153,7 @@ def _plan(rule: Rule, bound: frozenset[str]) -> tuple | None:
     # (unbound arguments, literal) entries; stale once the count has changed.
     heap = [(n, k) for k, n in enumerate(unbound)]
     heapq.heapify(heap)
-    order = [(-1, "", entry)]
+    order = [(-1, "", tuple(forced))]
     while heap:
         n, k = heapq.heappop(heap)
         if n == unbound[k]:
@@ -184,27 +183,24 @@ def _plan(rule: Rule, bound: frozenset[str]) -> tuple | None:
         repeats = len({s for _, s in binds}) < len(binds)
         key = _getter(tuple(args[j] for j in columns))
         steps.append((pos, relation, columns, key, repeats, binds, tuple(negated[i]), tuple(unequal[i])))
-    return names, tuple(forced.values()), len(slots), tuple(steps), _getter(slots_of(rule.head_args))
+    return tuple(forced.values()), len(slots), tuple(steps), _getter(slots_of(rule.head_args))
 
 
 def rule_solutions(
-    rule: Rule,
-    relations: Mapping[str, _Relation],
-    binding: Mapping[str, str] | None = None,
-    delta: tuple[int, _Relation] | None = None,
+    rule: Rule, relations: Mapping[str, _Relation], delta: tuple[int, _Relation] | None = None
 ) -> Iterator[tuple[str, ...]]:
     """The head tuple of each assignment that satisfies the body of
-    ``rule`` and extends ``binding``, from the rule's plan (``_plan``).
+    ``rule``, from the rule's plan (``_plan``).
 
     ``relations`` maps each symbol, stored or derived, to its tuples; a
     symbol it lacks is empty.  ``delta`` makes the positive literal at the
     given body index read a specific relation view (semi-naive evaluation).
     Raises ValueError on an unsafe rule.
     """
-    plan = _plan(rule, frozenset(binding or ()))
+    plan = _plan(rule)
     if plan is None:
         return
-    names, constants, size, steps, head = plan
+    constants, size, steps, head = plan
     vals: list[str | None] = [None] * size
     levels = []
     for pos, relation, columns, key, repeats, binds, negated, unequal in steps:
@@ -214,7 +210,7 @@ def rule_solutions(
             rel = relations.get(relation, _EMPTY_RELATION)
         negated = tuple((relations.get(name, _EMPTY_RELATION).tuples, get) for name, get in negated)
         levels.append((rel, columns, key, repeats, binds, negated, unequal))
-    stack = [iter([tuple(binding[name] for name in names) + constants])]
+    stack = [iter([constants])]
     while stack:
         _, _, _, repeats, binds, negated, unequal = levels[len(stack) - 1]
         for t in stack[-1]:
@@ -234,18 +230,6 @@ def rule_solutions(
                 break
         else:
             stack.pop()
-
-
-def _head_binding(rule: Rule, target: tuple[str, ...]) -> dict[str, str] | None:
-    """Bind the head variables to the target tuple; None if a repeated head
-    variable would need two different values."""
-    g: dict[str, str] = {}
-    for term, value in zip(rule.head_args, target):
-        existing = g.get(term.name)
-        if existing is not None and existing != value:
-            return None
-        g[term.name] = value
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -338,20 +322,24 @@ def eval_datalog_naive(program: Program, instance: Instance) -> dict[str, Answer
 
 
 def eval_member(program: Program, instance: Instance, target: tuple[str, ...]) -> bool:
-    """Is the target tuple in the program's answer on this instance?"""
-    program.check_target(target)
-    flags = classify(program)
-    if flags.is_ucq:
-        _check_instance(program, instance.facts)
+    """Is the target tuple in the program's answer on this instance?
+
+    Both paths run the query specialised to the target (``specialize``),
+    after checking the program and the instance as written.  A non-recursive
+    query holds once one of its pinned rules has a solution, so a head
+    variable need not occur in a positive literal.  A datalog program
+    computes its goal's fixpoint; its rules must be safe as written, as for
+    ``eval_datalog``, even where a pinned copy would be.
+    """
+    boolean = specialize(program, target)
+    _datalog_guard(program)
+    _check_instance(program, instance.facts)
+    if classify(program).is_ucq:
         relations = _index_instance(instance.facts)
-        for rule in program.rules:
-            binding = _head_binding(rule, target)
-            if binding is None:
-                continue
-            for _ in rule_solutions(rule, relations, binding):
-                return True
-        return False
-    return target in eval_datalog(program, instance)[program.answer].tuples
+        return any(any(True for _ in rule_solutions(rule, relations)) for rule in boolean.rules)
+    if any(map(ungrounded_vars, program.rules)):
+        raise ValueError("unsafe rule: a variable occurs in no positive literal")
+    return bool(eval_datalog(boolean, instance)[boolean.answer].tuples)
 
 
 def eval_answers(program: Program, instance: Instance) -> AnswerSet:

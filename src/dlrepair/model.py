@@ -1,5 +1,9 @@
 """Immutable core values: terms, literals, rules, programs, facts, instances, updates.
 
+A query and a target tuple meet in one place, ``specialize``: it pins each
+answer rule's head to the target and projects onto a 0-ary goal, so
+membership, satisfiability and repair search all run on that Boolean query.
+
 Every value here is frozen; operations return new values and never mutate
 their inputs, so values can be shared freely across threads.  Fact sets are
 kept deterministic everywhere: iteration and tie-breaking use the canonical
@@ -8,6 +12,7 @@ order (relation symbol, then argument tuple).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -164,18 +169,15 @@ def body_terms(body: Iterable[Literal]) -> Iterator[Term]:
 
 
 class _Closure:
-    """Equality classes of a rule's terms under its equality atoms and a
-    binding of variables to constants; ``conflict`` is set when two distinct
-    constants merge, and ``forced`` maps each class holding a constant to
-    that constant."""
+    """Equality classes of a rule's terms under its equality atoms;
+    ``conflict`` is set when two distinct constants merge, and ``forced``
+    maps each class holding a constant to that constant."""
 
-    def __init__(self, rule: Rule, binding: Mapping[str, str]):
+    def __init__(self, rule: Rule):
         self.parent: dict[tuple[str, str], tuple[str, str]] = {}
         self.conflict = False
         for t in itertools.chain(body_terms(rule.body), rule.head_args):
             self.find(self._node(t))
-        for name, v in binding.items():
-            self._union(("v", name), ("k", v))
         for cmp_ in rule.comparisons():
             if cmp_.op == "eq":
                 self._union(self._node(cmp_.left), self._node(cmp_.right))
@@ -220,6 +222,8 @@ class _Closure:
         return values
 
 
+# Bounded, since a long-lived process may check many distinct rules.
+@functools.lru_cache(maxsize=4096)
 def ungrounded_vars(rule: Rule) -> frozenset[str]:
     """Variables whose equality class holds no constant and no variable of a
     positive relational literal.
@@ -227,7 +231,7 @@ def ungrounded_vars(rule: Rule) -> frozenset[str]:
     Safe rules have none: such variables are the ones an assignment search
     could never bind, and evaluation would be domain-dependent for them.
     """
-    cl = _Closure(rule, {})
+    cl = _Closure(rule)
     grounded = set(cl.forced)
     for lit in rule.relational_literals():
         if lit.positive:
@@ -292,6 +296,36 @@ def make_program(
     if validate:
         validate_program(program)
     return program
+
+
+def pin(rule: Rule, target: tuple[str, ...], head: str) -> Rule:
+    """A copy of ``rule`` for the 0-ary symbol ``head``, with equality atoms
+    pinning its head variables to the target constants.  A repeated head
+    variable gets two; if they differ, the copy can never fire and keeps no
+    other atom, so nothing of its body is evaluated or checked."""
+    pins = tuple(Comparison("eq", term, const(value)) for term, value in zip(rule.head_args, target))
+    fires = len(set(pins)) == len(set(rule.head_args))
+    return Rule(head, (), (rule.body if fires else ()) + pins)
+
+
+def specialize(program: Program, target: tuple[str, ...]) -> Program:
+    """The Boolean query that holds iff the target is in the answer: each
+    answer rule pinned to the target (``pin``) for a 0-ary goal symbol.  The
+    goal's name starts with ``_``, which the parser reserves, and is no
+    symbol of the program.  The original answer rules are kept only when
+    some rule body reads the answer symbol."""
+    program.check_target(target)
+    goal = "_goal"
+    while goal in program.arities:
+        goal = "_" + goal
+    read = any(lit.relation == program.answer for r in program.rules for lit in r.relational_literals())
+    rules = []
+    for rule in program.rules:
+        if rule.head != program.answer or read:
+            rules.append(rule)
+        if rule.head == program.answer:
+            rules.append(pin(rule, target, goal))
+    return Program(tuple(rules), goal, dict(program.schema))
 
 
 # ---------------------------------------------------------------------------

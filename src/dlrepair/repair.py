@@ -5,12 +5,14 @@ placing the target tuple in the query answer.
 
 * one fixpoint that labels each derived atom with the minimal edit sets of
   its proofs, cut off at a cost that rises from 0 until the target has a
-  label (``_label_search``).  It serves every fragment:
+  label (``_label_search``).  It runs on the query specialised to the
+  target (``specialize``), like every solver here, and serves every
+  fragment:
   - non-recursive queries with negated atoms, whose rules read no derived
     symbol, so one round per level labels the target; the most literals in
     one rule bounds the search, and rules with a single atom take a
     closed-form fast path instead; a rule without projection needs no
-    search, since the head binding assigns every variable;
+    search, since its copy pinned to the target assigns every variable;
   - positive datalog, inserting over the visible constants plus one fresh
     constant, complete by monotonicity;
   - recursive programs with negated stored atoms, stopping at the budget,
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .classify import classify
-from .engine import _check_instance, _getter, _head_binding, eval_member
+from .engine import _check_instance, _getter, eval_member
 from .model import (
     ArityMismatch,
     Fact,
@@ -55,6 +57,8 @@ from .model import (
     canonical_key,
     facts_over,
     fresh_constants,
+    pin,
+    specialize,
     ungrounded_vars,
     update_size,
     var,
@@ -172,10 +176,7 @@ def repair_for_assignment(rule: Rule, assignment: Mapping[str, str], instance: I
 
 
 def _join_free(rule: Rule, instance: Instance, target: tuple[str, ...], domain: Sequence[str]):
-    binding = _head_binding(rule, target)
-    if binding is None:
-        return None
-    cl = _Closure(rule, binding)
+    cl = _Closure(pin(rule, target, rule.head))
     if cl.conflict:
         return None
     beta = rule.relational_literals()[0]
@@ -237,13 +238,14 @@ def _join_free(rule: Rule, instance: Instance, target: tuple[str, ...], domain: 
 
 
 def ma_min_projection_free(rule: Rule, instance: Instance, target: tuple[str, ...]) -> RepairResult:
-    """Rules with no bound variables: the head binding assigns every
-    variable, so the repair is the one it induces."""
+    """Rules with no bound variables: pinning the head to the target assigns
+    every variable, so the repair is the one that assignment induces."""
     if rule.bound_vars:
         raise NotProjectionFree(f"rule for {rule.head} has bound variables")
     if len(target) != len(rule.head_args):
         raise ArityMismatch(f"target has length {len(target)}, head arity is {len(rule.head_args)}")
-    binding = _head_binding(rule, target)
+    cl = _Closure(pin(rule, target, rule.head))
+    binding = None if cl.conflict else {t.name: cl.forced[cl.term_root(t)] for t in rule.head_args}
     update = None if binding is None else repair_for_assignment(rule, binding, instance)
     if update is None:
         return RepairResult.no_repair()
@@ -412,10 +414,10 @@ def _least_relabelling(
 
 # Bounded, since a long-lived process may solve for many distinct programs.
 @functools.lru_cache(maxsize=4096)
-def _label_plan(rule: Rule, binding: tuple[tuple[str, str], ...], idb: frozenset[str], first: int | None):
-    """How the label fixpoint grounds ``rule`` with the ``binding`` pairs
-    (variable, constant) on its head variables, or None when no assignment
-    can satisfy it.
+def _label_plan(rule: Rule, idb: frozenset[str], first: int | None):
+    """How the label fixpoint grounds ``rule``, or None when no assignment
+    can satisfy it.  A target reaches a rule only as equality atoms
+    (``model.pin``).
 
     An assignment is a list with a slot per equality class, forced classes
     filled in.  The plan is ``(start, pre, steps, head, variables)``: that
@@ -430,7 +432,7 @@ def _label_plan(rule: Rule, binding: tuple[tuple[str, str], ...], idb: frozenset
     carries the checks that are ground once it is done: stored literals
     ``(positive, relation, reader)`` and pairs of slots that must differ.
     """
-    cl = _Closure(rule, dict(binding))
+    cl = _Closure(rule)
     if cl.conflict:
         return None
     roots = list(dict.fromkeys(map(cl.term_root, itertools.chain(rule.head_args, body_terms(rule.body)))))
@@ -503,55 +505,57 @@ def _label_search(
     already uses and the next unused one.  The answer is relabelled onto
     the least fresh names in string order.
 
-    When no rule that can fire reads a derived symbol, the program is a
-    union of rules over stored facts, and the witness is an assignment of
-    the rule variables that induces the repair (``repair_for_assignment``):
-    the first one, in search order, that produced the winning label,
-    relabelled like it, its other fresh constants taking the least unused
-    names.  That check replaces the engine's, so such rules need not be
-    safe.  Otherwise the witness is None, unsafe rules raise ValueError and
-    the engine checks the repair.
+    The search runs on the query specialised to the target
+    (``specialize``), whose goal's ``()`` atom stands for the target.  When
+    no goal rule that can fire reads a derived symbol, the query is a union
+    of rules over stored facts, and the witness is an assignment of the
+    rule variables that induces the repair (``repair_for_assignment``): the
+    first one, in search order, that produced the winning label, relabelled
+    like it, its other fresh constants taking the least unused names.  That
+    check replaces the engine's, so such rules need not be safe.  Otherwise
+    the witness is None, the program's rules must be safe as written or
+    ValueError is raised, and the engine checks the repair.
     """
     _check_instance(program, instance.facts)
+    boolean = specialize(program, target)
+    rules = boolean.rules
     present = {(f.relation, f.args) for f in instance.facts}
-    idb = program.idb
+    idb = boolean.idb
+    # The rules as written: a pinned copy that can never fire keeps no literal.
     stored = [lit for r in program.rules for lit in r.relational_literals() if lit.relation not in idb]
     both = {lit.relation for lit in stored if lit.positive} & {lit.relation for lit in stored if not lit.positive}
     is_fresh = frozenset(domain.constants) - active_domain(program, instance, target)
     fresh = [c for c in domain.constants if c in is_fresh]
     fixed = [c for c in domain.constants if c not in is_fresh]
-    pinned = all(lit.relation != program.answer for r in program.rules for lit in r.relational_literals())
     plans: dict[tuple[int, int | None], tuple | None] = {}
     store = _Labels(is_fresh)
 
     def plan(i: int, first: int | None):
         if (i, first) not in plans:
-            rule = program.rules[i]
-            binding = _head_binding(rule, target) if pinned and rule.head == program.answer else {}
-            plans[i, first] = None if binding is None else _label_plan(rule, tuple(binding.items()), idb, first)
+            plans[i, first] = _label_plan(rules[i], idb, first)
         return plans[i, first]
 
-    # The rules that can fire, of the symbols that such rules for the answer
+    # The rules that can fire, of the symbols that such rules for the goal
     # read, directly or not.
     live: set[int] = set()
-    needed, todo = set(), [program.answer]
+    needed, todo = set(), [boolean.answer]
     while todo:
         symbol = todo.pop()
         if symbol not in needed:
             needed.add(symbol)
-            for i, rule in enumerate(program.rules):
+            for i, rule in enumerate(rules):
                 if rule.head == symbol and plan(i, None) is not None:
                     live.add(i)
                     todo.extend(lit.relation for lit in rule.relational_literals() if lit.relation in idb)
     # The (rule, derived literal) pairs that read each symbol.
     readers: dict[str, list[tuple[int, int]]] = {}
     for i in sorted(live):
-        derived = [lit.relation for lit in program.rules[i].relational_literals() if lit.relation in idb]
+        derived = [lit.relation for lit in rules[i].relational_literals() if lit.relation in idb]
         for d, relation in enumerate(derived):
             readers.setdefault(relation, []).append((i, d))
     if readers and any(ungrounded_vars(rule) for rule in program.rules):
         raise ValueError("unsafe rule: a variable occurs in no positive literal")
-    # The first (rule, assignment) of each label of the target, for unions.
+    # The first (rule, assignment) of each label of the goal, for unions.
     witnesses: dict[frozenset, tuple[int, dict[str, str]]] | None = None if readers else {}
 
     def choices(u: int) -> Iterator[tuple[str, int]]:
@@ -565,11 +569,8 @@ def _label_search(
         """Append to ``out`` the canonical ``(relation, args, label, n)`` of
         each rule instance of cost exactly k, with the ``first``-th derived
         literal reading ``delta``."""
-        p = plan(i, first)
-        if p is None:
-            return
-        start, pre, steps, head, variables = p
-        relation_out = program.rules[i].head
+        start, pre, steps, head, variables = plan(i, first)
+        relation_out = rules[i].head
         values = list(start)
 
         def check(lits, neqs, label: frozenset, cost: int):
@@ -633,8 +634,7 @@ def _label_search(
                     order.extend(a for a in c[1] if a in is_fresh)
             moved = dict.fromkeys(order)
             n = len(moved)
-            witness = witnesses is not None and args == target
-            if witness:
+            if witnesses is not None:
                 # The assignment's other fresh constants follow, so that
                 # renaming it stays one-to-one.
                 moved.update((v, None) for v in values if v in is_fresh)
@@ -644,7 +644,7 @@ def _label_search(
                 args = tuple(rho.get(a, a) for a in args)
                 label = frozenset((r, tuple(rho.get(a, a) for a in c), pos) for r, c, pos in label)
             out.append((relation_out, args, label, n))
-            if witness and label not in witnesses:
+            if witnesses is not None and label not in witnesses:
                 witnesses[label] = (i, {name: rho.get(values[s], values[s]) for name, s in variables})
 
         def run(s: int, label: frozenset, cost: int, u: int) -> None:
@@ -700,7 +700,7 @@ def _label_search(
             for relation in delta.indexes:
                 for i, d in readers.get(relation, ()):
                     fire(i, d, k, found, delta)
-        labels = store.by_atom.get((program.answer, target))
+        labels = store.by_atom.get((boolean.answer, ()))
         if labels:
             break
     else:
@@ -726,7 +726,7 @@ def _label_search(
         if v in is_fresh and v not in rho:
             rho[v] = next(spare)
     witness = {name: rho.get(v, v) for name, v in assignment.items()}
-    if repair_for_assignment(program.rules[i], witness, instance) != update:
+    if repair_for_assignment(rules[i], witness, instance) != update:
         raise AssertionError(f"label search returned {update}, which {witness} does not induce")
     return update, witness
 
@@ -739,7 +739,6 @@ def ma_min_datalog_positive(program: Program, instance: Instance, target: tuple[
     least at some level, so it needs no bound."""
     if not classify(program).is_positive_datalog:
         raise NotPositiveDatalog("program contains negation or inequality atoms")
-    program.check_target(target)
     if not ma_dec(program, instance, target):
         return RepairResult.no_repair()
     domain = SearchDomain.for_positive_datalog(program, instance, target)

@@ -5,20 +5,19 @@ is, which reduces to an equality-closure check plus a clash test between the
 ground positive and ground negated atoms.  A positive datalog program is
 satisfiable iff it fires on the full instance over its own constants plus
 one fresh constant.  Repair existence reduces to satisfiability of the
-query specialised to the target tuple: the specialised query holds on some
+query specialised to the target tuple (``model.specialize``, the Boolean
+query the engine and the repair search also run): it holds on some
 instance J exactly when the update turning the input instance into J is a
 repair, so the input instance is irrelevant to existence.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .classify import classify
 from .engine import eval_datalog
 from .model import (
-    Comparison,
     Fact,
     Instance,
     Program,
@@ -26,9 +25,9 @@ from .model import (
     Rule,
     _Closure,
     body_terms,
-    const,
     facts_over,
     fresh_constants,
+    specialize,
 )
 
 
@@ -61,7 +60,7 @@ def sat_cqneg(rule: Rule) -> SatResult:
     satisfiable iff no ground positive atom coincides with a ground negated
     atom, and the ground positive atoms then form a witness instance.
     """
-    cl = _Closure(rule, {})
+    cl = _Closure(rule)
     if cl.conflict:
         return SatResult(False)
     for cmp_ in rule.comparisons():
@@ -123,38 +122,6 @@ def sat_query(program: Program) -> SatResult:
 
 # ---------------------------------------------------------------------------
 # Repair existence
-
-
-def _select_symbol(program: Program) -> str:
-    used = set(program.arities) | {program.answer}
-    base = "goal"
-    if base not in used:
-        return base
-    for i in itertools.count():
-        name = f"{base}{i}"
-        if name not in used:
-            return name
-
-
-def specialize(program: Program, target: tuple[str, ...]) -> Program:
-    """The Boolean query that holds iff the target is in the answer: each
-    answer rule gets a copy for a fresh 0-ary goal symbol with equality atoms
-    pinning its head variables to the target constants.  Repeated head
-    variables simply contribute two equalities.  The original answer rules
-    are kept only when some rule body reads the answer symbol."""
-    program.check_target(target)
-    goal = _select_symbol(program)
-    read = any(lit.relation == program.answer for r in program.rules for lit in r.relational_literals())
-    rules = []
-    for rule in program.rules:
-        if rule.head != program.answer or read:
-            rules.append(rule)
-        if rule.head == program.answer:
-            pins = tuple(
-                Comparison("eq", term, const(value)) for term, value in zip(rule.head_args, target)
-            )
-            rules.append(Rule(goal, (), rule.body + pins))
-    return Program(tuple(rules), goal, dict(program.schema))
 
 
 def ma_dec(program: Program, instance: Instance, target: tuple[str, ...]) -> bool:

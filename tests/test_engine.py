@@ -14,6 +14,7 @@ from dlrepair import (
     eval_datalog,
     eval_datalog_naive,
     eval_member,
+    ma_min,
     make_program,
     parse_instance,
     parse_program,
@@ -71,6 +72,34 @@ class TestUnsafeRules:
     def test_answers_raise(self):
         with pytest.raises(ValueError, match="unsafe rule"):
             eval_answers(self.PROGRAM, parse_instance("p(a)."))
+
+    def test_rule_whose_head_cannot_take_the_target_is_not_checked(self):
+        # ans(X,X) :- p(X), !q(X,Y).  No assignment gives the head (a,b).
+        program = make_program([Rule("ans", (var("X"), var("X")), self.PROGRAM.rules[0].body)], validate=False)
+        assert not eval_member(program, parse_instance("p(a)."), ("a", "b"))
+        with pytest.raises(ValueError, match="unsafe rule"):
+            eval_member(program, parse_instance("p(a)."), ("a", "a"))
+
+    # t(X,Y) :- e(X,Y).  t(X,Y) :- t(X,Z), e(Z,Y).  ans(X) :- t(A1,A2), !u(X).
+    # The answer rule's head variable occurs only under negation.  Its copy
+    # pinned to a target is safe, but a datalog program's rules must be safe
+    # as written.
+    DATALOG = make_program(
+        parse_program("t(X,Y) :- e(X,Y). t(X,Y) :- t(X,Z), e(Z,Y).").rules
+        + (Rule("ans", (var("X"),), (RelLiteral("t", (var("A1"), var("A2"))), RelLiteral("u", (var("X"),), False))),),
+        "ans",
+        validate=False,
+    )
+
+    def test_datalog_member_and_repair_raise(self):
+        instance = parse_instance("e(a,b). u(c).")
+        with pytest.raises(ValueError, match="unsafe rule"):
+            eval_member(self.DATALOG, instance, ("a",))
+        with pytest.raises(ValueError, match="unsafe rule"):
+            ma_min(self.DATALOG, instance, ("a",))
+        # No repair fits budget 0, so only the search's own check can raise.
+        with pytest.raises(ValueError, match="unsafe rule"):
+            ma_min(self.DATALOG, instance, ("c",), budget=0)
 
 
 class TestEvalDatalog:

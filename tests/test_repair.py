@@ -351,6 +351,24 @@ class TestPositiveDatalog:
         assert_sound(self.TC, parse_instance("e(a,b)."), ("c", "a"), result)
 
 
+class TestGoalNamedRelation:
+    """A query and its target meet in a goal symbol the parser reserves, so
+    an instance relation called ``goal`` is just another stored relation."""
+
+    TC = parse_program("t(X,Y) :- e(X,Y). t(X,Z) :- e(X,Y), t(Y,Z). @answer t.")
+    INSTANCE = parse_instance("e(a,b). e(b,c). goal(a). goal(d).")
+
+    def test_evaluates(self):
+        assert eval_member(self.TC, self.INSTANCE, ("a", "c"))
+        assert not eval_member(self.TC, self.INSTANCE, ("a", "d"))
+
+    def test_repairs(self):
+        result = ma_min(self.TC, self.INSTANCE, ("a", "d"))
+        assert result.repair == Update.of(facts("e(a,d)"))
+        oracle = oracle_ma_min(self.TC, self.INSTANCE, ("a", "d"), budget=1)
+        assert oracle.repair == result.repair
+
+
 class TestSpDatalog:
     SP = parse_program("ans(X) :- e(X,Y), !bad(X).")
 
@@ -388,6 +406,26 @@ class TestSpDatalog:
         result = ma_min_spdatalog(program, instance, ("a", "c"), budget=2)
         assert result.size == 1
         assert result.repair == Update.of((), facts("blocked(a)"))
+
+    @pytest.mark.parametrize(
+        "answer, data",
+        [
+            # Both arguments of t(X,X) bind one slot: the join drops the
+            # labels of t atoms whose two arguments differ.
+            ("ans :- t(X,X), !u(X).", "e(a,b). u(a)."),
+            # t(Y,X) reads labels whose fresh constants meet the values that
+            # t(X,Y) bound: the join drops a map that is inconsistent or not
+            # one-to-one.
+            ("ans :- t(X,Y), t(Y,X), !u(X), !u(Y).", "u(a)."),
+        ],
+    )
+    def test_label_joins_match_oracle(self, answer, data):
+        program = parse_program(f"t(X,Y) :- e(X,Y). t(X,Y) :- t(X,Z), e(Z,Y). {answer} @answer ans.")
+        instance = parse_instance(data)
+        solver = ma_min_spdatalog(program, instance, (), budget=3)
+        oracle = oracle_ma_min(program, instance, (), budget=3)
+        assert solver.status == "found"
+        assert (solver.status, solver.repair) == (oracle.status, oracle.repair)
 
 
 class TestOracle:
