@@ -3,13 +3,13 @@
 Answers come from a bottom-up fixpoint, semi-naive by default; a naive
 fixpoint is kept for the tests to compare.  Each rule runs a join plan
 compiled once from its equality closure (``_plan``), without recursion.
-Membership runs the query specialised to the target (``model.specialize``):
-a non-recursive query skips the fixpoint and stops at the first solution
-of a pinned rule, and a datalog program computes its goal's fixpoint.
-The repair solvers do not evaluate candidate instances here: they ground
-rules themselves, over edit labels (``repair._label_search``).  The datalog
-solvers call ``eval_member`` once to check the repair they return; for a
-non-recursive query, the repair's witness assignment checks it instead.
+Membership runs the query specialised to the target (``model.specialize``)
+after checking the program and instance once, as written (``_member_test``):
+a non-recursive query stops at the first solution of a pinned rule, and a
+datalog program computes its goal's fixpoint.
+Only the brute-force oracle tests candidate instances here.  The solvers
+ground rules themselves, over edit labels (``repair._label_search``), and
+the datalog ones call ``eval_member`` once to check the repair they return.
 """
 
 from __future__ import annotations
@@ -244,15 +244,17 @@ def _datalog_guard(program: Program) -> None:
                 raise NotDatalog(f"negated intensional symbol {lit.relation}")
 
 
-def _saturate(program: Program, relations: dict[str, _Relation]) -> None:
-    """Grow the derived relations in ``relations``, empty on entry, to the
-    least fixpoint over its stored ones by semi-naive iteration.
+def _saturate(program: Program, facts: Iterable[Fact]) -> dict[str, _Relation]:
+    """The relations of ``facts``, with those ``program`` derives (replacing
+    any stored ones) grown from empty to their least fixpoint.
 
     The first round fires every rule in full; later rounds fire only the
     literals that read a symbol with new tuples, on those tuples.  Each
     round reads the derived relations as they stood when it began; its new
     tuples are added once it ends.
     """
+    relations = _index_instance(facts)
+    relations.update((sym, _Relation()) for sym in program.idb)
     # New tuples only ever belong to derived symbols, so a reader of a
     # stored symbol is never looked up.
     readers: dict[str, list[tuple[Rule, int]]] = {}
@@ -281,6 +283,7 @@ def _saturate(program: Program, relations: dict[str, _Relation]) -> None:
             for rule, pos in readers.get(sym, ()):
                 fire(rule, new, delta=(pos, view))
         delta = new
+    return relations
 
 
 def eval_datalog(program: Program, instance: Instance) -> dict[str, AnswerSet]:
@@ -291,9 +294,7 @@ def eval_datalog(program: Program, instance: Instance) -> dict[str, AnswerSet]:
     """
     _datalog_guard(program)
     _check_instance(program, instance.facts)
-    relations = _index_instance(instance.facts)
-    relations.update((sym, _Relation()) for sym in program.idb)
-    _saturate(program, relations)
+    relations = _saturate(program, instance.facts)
     return {sym: AnswerSet(sym, frozenset(relations[sym].tuples)) for sym in program.idb}
 
 
@@ -321,25 +322,32 @@ def eval_datalog_naive(program: Program, instance: Instance) -> dict[str, Answer
 # Public evaluation entry points
 
 
-def eval_member(program: Program, instance: Instance, target: tuple[str, ...]) -> bool:
-    """Is the target tuple in the program's answer on this instance?
-
-    Both paths run the query specialised to the target (``specialize``),
-    after checking the program and the instance as written.  A non-recursive
-    query holds once one of its pinned rules has a solution, so a head
-    variable need not occur in a positive literal.  A datalog program
-    computes its goal's fixpoint; its rules must be safe as written, as for
-    ``eval_datalog``, even where a pinned copy would be.
+def _member_test(
+    program: Program, instance: Instance, target: tuple[str, ...]
+) -> Callable[[Iterable[Fact]], bool]:
+    """Whether the target is in the answer, as a test of fact sets that only
+    add schema facts to ``instance`` or delete some of its facts: the program
+    and ``instance`` are checked here, once, as written.  The test runs the
+    query specialised to the target (``specialize``): a non-recursive query
+    holds once a pinned rule has a solution, and a datalog program computes
+    its goal's fixpoint, after its rules are checked safe as written.
     """
     boolean = specialize(program, target)
     _datalog_guard(program)
     _check_instance(program, instance.facts)
     if classify(program).is_ucq:
-        relations = _index_instance(instance.facts)
-        return any(any(True for _ in rule_solutions(rule, relations)) for rule in boolean.rules)
+        def holds(facts: Iterable[Fact]) -> bool:
+            relations = _index_instance(facts)
+            return any(any(True for _ in rule_solutions(rule, relations)) for rule in boolean.rules)
+        return holds
     if any(map(ungrounded_vars, program.rules)):
         raise ValueError("unsafe rule: a variable occurs in no positive literal")
-    return bool(eval_datalog(boolean, instance)[boolean.answer].tuples)
+    return lambda facts: bool(_saturate(boolean, facts)[boolean.answer].tuples)
+
+
+def eval_member(program: Program, instance: Instance, target: tuple[str, ...]) -> bool:
+    """Is the target in the answer?  Checks run once, on the program and instance as written."""
+    return _member_test(program, instance, target)(instance.facts)
 
 
 def eval_answers(program: Program, instance: Instance) -> AnswerSet:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 # Fresh constants live in a lexical space the parser reserves (user constants
@@ -89,11 +89,22 @@ Literal = Union[RelLiteral, Comparison]
 @dataclass(frozen=True, slots=True)
 class Rule:
     """head(head_args) :- body.  Head args are variables only; the parser
-    desugars head constants into equality atoms."""
+    desugars head constants into equality atoms.  Its hash is computed once."""
 
     head: str
     head_args: tuple[Term, ...]
     body: tuple[Literal, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.head, self.head_args, self.body)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes, so unpickling rehashes.
+        return Rule, (self.head, self.head_args, self.body)
 
     @property
     def free_vars(self) -> frozenset[str]:

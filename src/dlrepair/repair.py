@@ -38,10 +38,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .classify import classify
-from .engine import _check_instance, _getter, eval_member
+from .engine import _check_instance, _getter, _member_test, eval_member
 from .model import (
     ArityMismatch,
     Fact,
@@ -336,21 +336,6 @@ def _enumerate_updates(
     yield from rec(0, [])
 
 
-def _search_by_size(
-    instance: Instance,
-    ins_pool: Sequence[Fact],
-    del_pool: Sequence[Fact],
-    budget: int,
-    is_repair: Callable[[Instance], bool],
-) -> Update | None:
-    for size in range(budget + 1):
-        for ins, dels in _enumerate_updates(ins_pool, del_pool, size):
-            candidate = Instance((instance.facts | set(ins)) - set(dels))
-            if is_repair(candidate):
-                return Update.of(ins, dels)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Datalog solvers: one fixpoint of minimal edit labels
 
@@ -527,13 +512,7 @@ def _label_search(
     is_fresh = frozenset(domain.constants) - active_domain(program, instance, target)
     fresh = [c for c in domain.constants if c in is_fresh]
     fixed = [c for c in domain.constants if c not in is_fresh]
-    plans: dict[tuple[int, int | None], tuple | None] = {}
     store = _Labels(is_fresh)
-
-    def plan(i: int, first: int | None):
-        if (i, first) not in plans:
-            plans[i, first] = _label_plan(rules[i], idb, first)
-        return plans[i, first]
 
     # The rules that can fire, of the symbols that such rules for the goal
     # read, directly or not.
@@ -544,7 +523,7 @@ def _label_search(
         if symbol not in needed:
             needed.add(symbol)
             for i, rule in enumerate(rules):
-                if rule.head == symbol and plan(i, None) is not None:
+                if rule.head == symbol and _label_plan(rule, idb, None) is not None:
                     live.add(i)
                     todo.extend(lit.relation for lit in rule.relational_literals() if lit.relation in idb)
     # The (rule, derived literal) pairs that read each symbol.
@@ -569,7 +548,7 @@ def _label_search(
         """Append to ``out`` the canonical ``(relation, args, label, n)`` of
         each rule instance of cost exactly k, with the ``first``-th derived
         literal reading ``delta``."""
-        start, pre, steps, head, variables = plan(i, first)
+        start, pre, steps, head, variables = _label_plan(rules[i], idb, first)
         relation_out = rules[i].head
         values = list(start)
 
@@ -805,11 +784,12 @@ def oracle_ma_min(
         if f not in instance.facts
     ]
     del_pool = sorted(instance.facts)
-    update = _search_by_size(
-        instance, ins_pool, del_pool, budget, lambda i: eval_member(program, i, target)
-    )
-    if update is not None:
-        return RepairResult.found(update)
+    # Candidates only add schema facts to the instance, so its checks cover them.
+    holds = _member_test(program, instance, target)
+    for size in range(budget + 1):
+        for ins, dels in _enumerate_updates(ins_pool, del_pool, size):
+            if holds((instance.facts | set(ins)) - set(dels)):
+                return RepairResult.found(Update.of(ins, dels))
     if complete and (flags.is_ucq and budget >= most or flags.is_positive_datalog and budget >= len(ins_pool)):
         return RepairResult.no_repair()
     return RepairResult.budget_exhausted()

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -106,6 +108,30 @@ def test_make_program_rejects_head_without_rule():
     rule = Rule("ans", (var("X"),), (RelLiteral("r", (var("X"),)),))
     with pytest.raises(ValueError):
         make_program([rule], answer="missing")
+
+
+def test_rules_are_values():
+    """Rules hash once, on construction, and still compare and print by
+    their fields."""
+    from dlrepair import Comparison, RelLiteral, Rule, const, var
+
+    body = (RelLiteral("r", (var("X"), var("Y"))), RelLiteral("s", (var("Y"),), False))
+    built = Rule("ans", (var("X"),), body)
+    parsed = parse_program("ans(X) :- r(X,Y), !s(Y).").rules[0]
+    assert built == parsed and hash(built) == hash(parsed)
+    assert {built: 1}[parsed] == 1
+    # String hashes differ between processes, so unpickling must rehash.
+    stale = Rule("ans", (var("X"),), body)
+    object.__setattr__(stale, "_hash", hash(parsed) + 1)
+    assert hash(pickle.loads(pickle.dumps(stale))) == hash(parsed)
+    changed = Rule("ans", (var("X"),), body[:1] + (RelLiteral("s", (var("Y"),)),))
+    assert changed != built
+    assert Rule("ans", (var("X"),), body + (Comparison("eq", var("X"), const("a")),)) != built
+    assert repr(built) == (
+        "Rule(head='ans', head_args=(Term(kind='variable', name='X'),), body=("
+        "RelLiteral(relation='r', args=(Term(kind='variable', name='X'), Term(kind='variable', name='Y')), "
+        "positive=True), RelLiteral(relation='s', args=(Term(kind='variable', name='Y'),), positive=False)))"
+    )
 
 
 # ---------------------------------------------------------------------------

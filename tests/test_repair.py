@@ -47,6 +47,7 @@ from randgen import (
     random_target,
     random_ucqneg_program,
 )
+from reference import reference_answers
 
 TRIANGLE = parse_program("s(X,Y,Z) :- r(X,Y), r(Y,Z), !r(Z,X).")
 
@@ -62,6 +63,14 @@ def facts(*texts):
 def assert_sound(program, instance, target, result):
     assert result.status == "found"
     assert eval_member(program, apply_update(instance, result.repair), target)
+
+
+def assert_reference_repair(program, instance, target, result):
+    """A found repair puts the target into the answer of the brute-force
+    reference evaluator, which shares no code with the solvers."""
+    if result.status == "found":
+        repaired = apply_update(instance, result.repair)
+        assert target in reference_answers(program, repaired)[program.answer], (program, instance, target)
 
 
 class TestRepairForAssignment:
@@ -368,6 +377,24 @@ class TestGoalNamedRelation:
         oracle = oracle_ma_min(self.TC, self.INSTANCE, ("a", "d"), budget=1)
         assert oracle.repair == result.repair
 
+    # Only a library-built instance can hold a fact of the reserved name,
+    # which no program names.
+    RESERVED = Instance.of(facts("e(a,b)", "e(b,c)", "_goal"))
+
+    def test_evaluates_beside_a_reserved_name_fact(self):
+        assert eval_member(self.TC, self.RESERVED, ("a", "c"))
+        assert not eval_member(self.TC, self.RESERVED, ("a", "d"))
+        union = parse_program("ans(X,Y) :- e(X,Y).")
+        assert eval_member(union, self.RESERVED, ("a", "b"))
+
+    def test_repairs_beside_a_reserved_name_fact(self):
+        result = ma_min(self.TC, self.RESERVED, ("a", "d"))
+        assert result.repair == Update.of(facts("e(a,d)"))
+
+    def test_oracle_repairs_beside_a_reserved_name_fact(self):
+        oracle = oracle_ma_min(self.TC, self.RESERVED, ("a", "d"), budget=1)
+        assert oracle.repair == Update.of(facts("e(a,d)"))
+
 
 class TestSpDatalog:
     SP = parse_program("ans(X) :- e(X,Y), !bad(X).")
@@ -440,6 +467,7 @@ class TestOracle:
             domain = SearchDomain.for_ucq(program, instance, target)
             budget = max(r.positive_count() + r.negative_count() for r in program.rules)
             oracle = oracle_ma_min(program, instance, target, domain, budget)
+            assert_reference_repair(program, instance, target, oracle)
             expected = (oracle.status, oracle.repair) if oracle.status == "found" else ("no_repair", None)
             for dispatch in (True, False):
                 solver = ma_min_ucqneg(program, instance, target, dispatch=dispatch)
@@ -475,6 +503,7 @@ class TestOracle:
                 if solver.size is None or solver.size > 2:
                     continue
             oracle = oracle_ma_min(program, instance, target, domain, 2)
+            assert_reference_repair(program, instance, target, oracle)
             assert (oracle.status, oracle.repair) == (solver.status, solver.repair)
 
     @staticmethod
@@ -497,6 +526,7 @@ class TestOracle:
                 if solver.size is not None and solver.size > budget:
                     continue
             oracle = oracle_ma_min(program, instance, target, domain, budget)
+            assert_reference_repair(program, instance, target, oracle)
             if solver.status == "no_repair":
                 assert oracle.status == "budget_exhausted"
             else:
