@@ -60,23 +60,25 @@ def _getter(slots: tuple[int, ...]) -> Callable[[Sequence], tuple]:
 
 
 class _Relation:
-    """Tuples of one relation, with a hash index per tuple of columns that a
-    plan looks up by: built on the first lookup, kept current by ``add``."""
+    """The rows of one relation in insertion order, whatever tuples a caller
+    indexes (facts, derived tuples, ``repair._label_search``'s label rows),
+    with a hash index per tuple of columns that a caller looks up by: built
+    on the first lookup, kept current by ``add``."""
 
     __slots__ = ("tuples", "indexes")
 
-    def __init__(self, tuples: Iterable[tuple[str, ...]] = ()):
-        self.tuples: set[tuple[str, ...]] = set(tuples)
+    def __init__(self, tuples: Iterable[tuple] = ()):
+        self.tuples: dict[tuple, None] = dict.fromkeys(tuples)
         self.indexes: dict[tuple[int, ...], tuple[Callable, dict]] = {}
 
-    def add(self, t: tuple[str, ...]) -> None:
+    def add(self, t: tuple) -> None:
         if t not in self.tuples:
-            self.tuples.add(t)
+            self.tuples[t] = None
             for key, index in self.indexes.values():
                 index.setdefault(key(t), []).append(t)
 
-    def lookup(self, columns: tuple[int, ...], values: tuple[str, ...]) -> Sequence[tuple[str, ...]]:
-        """The tuples holding ``values`` at ``columns``."""
+    def lookup(self, columns: tuple[int, ...], values: tuple) -> Sequence[tuple]:
+        """The rows holding ``values`` at ``columns``, in insertion order."""
         if columns not in self.indexes:
             key, index = _getter(columns), {}
             for t in self.tuples:

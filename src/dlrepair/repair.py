@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .classify import classify
-from .engine import _check_instance, _getter, _member_test, eval_member
+from .engine import _EMPTY_RELATION, _Relation, _check_instance, _getter, _member_test, eval_member
 from .model import (
     ArityMismatch,
     Fact,
@@ -340,46 +340,6 @@ def _enumerate_updates(
 # Datalog solvers: one fixpoint of minimal edit labels
 
 
-class _Labels:
-    """Labels of derived atoms.  An entry ``(args, label, n)`` holds an
-    atom's arguments and one of its labels, their fresh constants renamed
-    onto the first ``n`` fresh names of the search.  ``lookup`` finds the
-    entries with given values at given columns, where a fresh value matches
-    any fresh constant."""
-
-    def __init__(self, fresh: frozenset[str]):
-        self.fresh = fresh
-        self.by_atom: dict[tuple[str, tuple[str, ...]], list[frozenset]] = {}
-        # relation -> columns -> key -> entries; columns () lists them all.
-        self.indexes: dict[str, dict[tuple[int, ...], dict]] = {}
-
-    def _key(self, values: Iterable[str]) -> tuple:
-        return tuple(None if v in self.fresh else v for v in values)
-
-    def add(self, relation: str, args: tuple[str, ...], label: frozenset, n: int) -> bool:
-        """Store the entry unless a label of the same atom is a subset of
-        ``label``; say whether it was stored."""
-        known = self.by_atom.setdefault((relation, args), [])
-        if any(old <= label for old in known):
-            return False
-        known.append(label)
-        entry = (args, label, n)
-        for columns, index in self.indexes.setdefault(relation, {(): {}}).items():
-            index.setdefault(self._key(args[c] for c in columns), []).append(entry)
-        return True
-
-    def lookup(self, relation: str, columns: tuple[int, ...], values: Iterable[str]) -> Sequence[tuple]:
-        indexes = self.indexes.get(relation)
-        if indexes is None:
-            return ()
-        if columns not in indexes:
-            index: dict = {}
-            for entry in indexes[()].get((), ()):
-                index.setdefault(self._key(entry[0][c] for c in columns), []).append(entry)
-            indexes[columns] = index
-        return indexes[columns].get(self._key(values), ())
-
-
 def _least_relabelling(
     ins: Sequence[tuple], dels: tuple[tuple, ...], names: Sequence[str], fresh: frozenset[str]
 ) -> tuple[tuple, dict[str, str]]:
@@ -490,6 +450,14 @@ def _label_search(
     already uses and the next unused one.  The answer is relabelled onto
     the least fresh names in string order.
 
+    The labels of a symbol are the rows of one ``engine._Relation``.  The
+    label of atom ``relation(args)``, its fresh constants renamed onto the
+    first ``n`` fresh names, is the row ``wild(args) + ((args, label, n),)``,
+    where ``wild`` writes a fresh constant as None, so a lookup by wild
+    values matches any fresh constant.  ``by_atom`` lists each atom's
+    labels; a new label is stored unless one of them is a subset of it.  A
+    round's delta holds exactly the rows stored from the round before.
+
     The search runs on the query specialised to the target
     (``specialize``), whose goal's ``()`` atom stands for the target.  When
     no goal rule that can fire reads a derived symbol, the query is a union
@@ -499,9 +467,9 @@ def _label_search(
     like it, its other fresh constants taking the least unused names.  That
     check replaces the engine's, so such rules need not be safe.  Otherwise
     the witness is None, the program's rules must be safe as written or
-    ValueError is raised, and the engine checks the repair.
+    ValueError is raised, and the engine checks the repair.  The caller
+    checks the instance.
     """
-    _check_instance(program, instance.facts)
     boolean = specialize(program, target)
     rules = boolean.rules
     present = {(f.relation, f.args) for f in instance.facts}
@@ -512,7 +480,11 @@ def _label_search(
     is_fresh = frozenset(domain.constants) - active_domain(program, instance, target)
     fresh = [c for c in domain.constants if c in is_fresh]
     fixed = [c for c in domain.constants if c not in is_fresh]
-    store = _Labels(is_fresh)
+    store: dict[str, _Relation] = {}
+    by_atom: dict[tuple[str, tuple[str, ...]], list[frozenset]] = {}
+
+    def wild(values: Iterable[str]) -> tuple:
+        return tuple(None if v in is_fresh else v for v in values)
 
     # The rules that can fire, of the symbols that such rules for the goal
     # read, directly or not.
@@ -544,7 +516,7 @@ def _label_search(
         if u < len(fresh):
             yield fresh[u], u + 1
 
-    def fire(i: int, first: int | None, k: int, out: list, delta: _Labels | None = None) -> None:
+    def fire(i: int, first: int | None, k: int, out: list, delta: _Relation | None = None) -> None:
         """Append to ``out`` the canonical ``(relation, args, label, n)`` of
         each rule instance of cost exactly k, with the ``first``-th derived
         literal reading ``delta``."""
@@ -639,8 +611,9 @@ def _label_search(
                         run(s + 1, *r, nu)
                 return
             relation, slots, columns, binds, repeats = step
-            source = delta if s == 0 and delta is not None else store
-            for args, child, n in source.lookup(relation, columns, [values[slots[c]] for c in columns]):
+            source = delta if s == 0 and delta is not None else store.get(relation, _EMPTY_RELATION)
+            for row in source.lookup(columns, wild(values[slots[c]] for c in columns)):
+                args, child, n = row[-1]
                 rho: dict[str, str] = {}
                 if any(
                     args[c] in is_fresh and rho.setdefault(args[c], values[slots[c]]) != values[slots[c]]
@@ -671,15 +644,19 @@ def _label_search(
         for i in sorted(live):
             fire(i, None, k, found)
         while found:
-            delta = _Labels(is_fresh)
-            for entry in found:
-                if store.add(*entry):
-                    delta.add(*entry)
+            delta: dict[str, _Relation] = {}
+            for relation, args, label, n in found:
+                kept = by_atom.setdefault((relation, args), [])
+                if not any(old <= label for old in kept):
+                    kept.append(label)
+                    row = wild(args) + ((args, label, n),)
+                    store.setdefault(relation, _Relation()).add(row)
+                    delta.setdefault(relation, _Relation()).add(row)
             found = []
-            for relation in delta.indexes:
+            for relation, view in delta.items():
                 for i, d in readers.get(relation, ()):
-                    fire(i, d, k, found, delta)
-        labels = store.by_atom.get((boolean.answer, ()))
+                    fire(i, d, k, found, view)
+        labels = by_atom.get((boolean.answer, ()))
         if labels:
             break
     else:
@@ -714,8 +691,8 @@ def ma_min_datalog_positive(program: Program, instance: Instance, target: tuple[
     """Positive programs are monotone, so insertions alone suffice and
     insertions over the visible constants plus one fresh constant are
     complete: any satisfying instance collapses onto them.  ``ma_dec``
-    decides whether a repair exists; if one does, the label search finds the
-    least at some level, so it needs no bound."""
+    checks the instance and decides whether a repair exists; if one does,
+    the label search finds the least at some level, so it needs no bound."""
     if not classify(program).is_positive_datalog:
         raise NotPositiveDatalog("program contains negation or inequality atoms")
     if not ma_dec(program, instance, target):
@@ -734,6 +711,7 @@ def ma_min_spdatalog(
     if not flags.is_semipositive_datalog:
         raise NotSemipositive("negation on derived symbols is not supported")
     program.check_target(target)
+    _check_instance(program, instance.facts)
     if budget < 0:
         raise ValueError("budget must be non-negative")
     domain = SearchDomain.for_spdatalog(program, instance, target, budget)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import classify
-from .engine import eval_datalog
+from .engine import _check_instance, eval_datalog
 from .model import (
     Fact,
     Instance,
@@ -128,8 +128,8 @@ def ma_dec(program: Program, instance: Instance, target: tuple[str, ...]) -> boo
     """Does any repair exist for this query and target?
 
     The instance is irrelevant to existence (any satisfying instance J
-    induces the repair Ins = J \\ I, Del = I \\ J); it is accepted for
-    interface uniformity.
+    induces the repair Ins = J \\ I, Del = I \\ J), so it is only checked
+    against the program, then set aside.
     """
-    del instance
+    _check_instance(program, instance.facts)
     return sat_query(specialize(program, target)).satisfiable

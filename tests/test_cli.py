@@ -151,6 +151,23 @@ class TestDatalogRepairs:
         assert (code, out) == (65, "")
         assert complaint in err
 
+    @pytest.mark.parametrize(
+        "command", [["repair"], ["size"], ["bound", "-k", "3"], ["decide"]], ids=lambda c: c[0]
+    )
+    @pytest.mark.parametrize(
+        "fact, complaint",
+        [("s(a,b).", "fact s has arity 2, program uses 1"), ("r(a).", "derived relation r")],
+        ids=["arity-mismatch", "derived-fact"],
+    )
+    def test_bad_instance_without_a_repair_is_an_input_error(self, tmp_path, command, fact, complaint):
+        # Positive datalog with no repair at (b): the instance is still checked.
+        query, data = tmp_path / "q.dl", tmp_path / "d.facts"
+        query.write_text("ans(X) :- r(X), X = a. r(X) :- s(X).\n")
+        data.write_text(fact + "\n")
+        code, out, err = invoke([command[0], "-q", query, "-d", data, "-t", "(b)", *command[1:]])
+        assert (code, out) == (65, "")
+        assert complaint in err
+
 
 FRAGMENTS = [
     (TRIANGLE_SRC, "r(3,1).", "(1,2,3)"),
@@ -384,6 +401,46 @@ def test_runs_are_independent(triangle):
     code, out, _ = invoke(argv)
     assert code == 0
     assert out.splitlines()[:2] == ["status: found", "size: 3"]
+
+
+def _repair_json_under_hash_seeds(query, data, target, *extra):
+    """The stdout of ``repair --json`` in fresh processes under hash seeds 0 and 1."""
+    outputs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dlrepair", "repair", "-q", str(query), "-d", str(data), "-t", target, "--json", *extra],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(Path(dlrepair.__file__).parent.parent)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    return outputs
+
+
+class TestOutputIsProcessIndependent:
+    """Ties between repairs and the witness do not depend on string hashing."""
+
+    def test_setcover_repair_and_witness(self, tmp_path):
+        # A size-2 repair whose witness comes from the search order.
+        coverfile = tmp_path / "sc.txt"
+        coverfile.write_text(invoke(["gen-setcover", "--seed", 3, "-n", 6, "-m", 5, "--density", 0.5])[1])
+        outdir = tmp_path / "red"
+        assert invoke(["reduce-setcover", "-i", coverfile, "-o", outdir])[0] == 0
+        target = (outdir / "tuple.txt").read_text().strip()
+        first, second = _repair_json_under_hash_seeds(outdir / "query.dl", outdir / "data.facts", target)
+        assert json.loads(first)["size"] == 2
+        assert first == second
+
+    def test_spdl_tie(self, tmp_path):
+        # Size 3 either way: insert a(n2), or insert e(n1,n2); the least wins.
+        query, data = tmp_path / "q.dl", tmp_path / "d.facts"
+        query.write_text(SPDL_SRC)
+        data.write_text("a(n0). e(n0,n1). e(n2,n3). b(n3).\n")
+        first, second = _repair_json_under_hash_seeds(query, data, "(n3)", "--budget", "3")
+        payload = json.loads(first)
+        assert (payload["size"], payload["insert"], payload["delete"]) == (3, ["a(n2)", "c(n3)"], ["b(n3)"])
+        assert first == second
 
 
 def test_module_entry_point(triangle):

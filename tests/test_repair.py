@@ -5,6 +5,7 @@ import random
 import pytest
 
 from dlrepair import (
+    ArityMismatch,
     Comparison,
     Fact,
     Instance,
@@ -28,6 +29,7 @@ from dlrepair import (
     ma_min_spdatalog,
     ma_min_ucqneg,
     ma_size,
+    ma_dec,
     make_program,
     oracle_ma_min,
     parse_instance,
@@ -358,6 +360,18 @@ class TestPositiveDatalog:
     def test_soundness(self):
         result = ma_min_datalog_positive(self.TC, parse_instance("e(a,b)."), ("c", "a"))
         assert_sound(self.TC, parse_instance("e(a,b)."), ("c", "a"), result)
+
+    @pytest.mark.parametrize("solve", [ma_dec, ma_min_datalog_positive, ma_min], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "facts, error, complaint",
+        [("s(a,b).", ArityMismatch, "fact s has arity 2, program uses 1"), ("r(a).", ValueError, "derived relation r")],
+        ids=["arity-mismatch", "derived-fact"],
+    )
+    def test_invalid_instance_without_a_repair(self, solve, facts, error, complaint):
+        # No repair exists at (b), so no search runs: the instance is checked first.
+        program = parse_program("ans(X) :- r(X), X = a. r(X) :- s(X).")
+        with pytest.raises(error, match=complaint):
+            solve(program, parse_instance(facts), ("b",))
 
 
 class TestGoalNamedRelation:
