@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .classify import classify
-from .engine import _EMPTY_RELATION, _Relation, _check_instance, _getter, _member_test, eval_member
+from .engine import _EMPTY_RELATION, _Relation, _check_instance, _getter, _index_instance, _member_test, eval_member
 from .model import (
     ArityMismatch,
     Fact,
@@ -376,6 +376,12 @@ def _label_plan(rule: Rule, idb: frozenset[str], first: int | None):
     ``first``-th of them (in body order) ahead of the others.  Each step
     carries the checks that are ground once it is done: stored literals
     ``(positive, relation, reader)`` and pairs of slots that must differ.
+    A free slot's step also carries those of its stored literals that are
+    positive, grouped by relation, as ``(relation, columns, pick, known,
+    position, readers)``: the columns of the group's first literal that
+    hold other slots, the readers of those columns in a fact and of their
+    values in the assignment, a column holding the free slot, and the
+    reader of each literal of the group.
     """
     cl = _Closure(rule)
     if cl.conflict:
@@ -405,10 +411,14 @@ def _label_plan(rule: Rule, idb: frozenset[str], first: int | None):
     # Index -1 holds the checks ground from the start.
     lits: list[list] = [[] for _ in range(len(order) + 1)]
     neqs: list[list] = [[] for _ in range(len(order) + 1)]
+    groups: list[dict] = [{} for _ in range(len(order) + 1)]
     for lit in rule.relational_literals():
         if lit.relation not in idb:
             args = slots_of(lit.args)
-            lits[max((bound_at[s] for s in args), default=-1)].append((lit.positive, lit.relation, _getter(args)))
+            at = max((bound_at[s] for s in args), default=-1)
+            lits[at].append((lit.positive, lit.relation, _getter(args)))
+            if lit.positive and at >= 0 and isinstance(order[at], int):
+                groups[at].setdefault(lit.relation, []).append(args)
     for cmp_ in rule.comparisons():
         if cmp_.op == "neq":
             a, b = slots_of((cmp_.left, cmp_.right))
@@ -418,7 +428,16 @@ def _label_plan(rule: Rule, idb: frozenset[str], first: int | None):
     ground = {(positive, relation, get(start)) for positive, relation, get in lits[-1]}
     if any((not positive, relation, args) in ground for positive, relation, args in ground):
         return None
-    steps = tuple(zip(order, lits, neqs))
+    needs: list[tuple] = []
+    for at, s in enumerate(order):
+        need = []
+        for relation, group in groups[at].items():
+            lead = group[0]
+            columns = tuple(j for j, x in enumerate(lead) if x != s)
+            known = _getter(tuple(lead[j] for j in columns))
+            need.append((relation, columns, _getter(columns), known, lead.index(s), tuple(map(_getter, group))))
+        needs.append(tuple(need))
+    steps = tuple(zip(order, lits, neqs, needs))
     variables = tuple((name, slot[cl.term_root(var(name))]) for name in sorted(rule.all_vars))
     return start, (lits[-1], neqs[-1]), steps, _getter(slots_of(rule.head_args)), variables
 
@@ -444,6 +463,20 @@ def _label_search(
     is the union of its literals' labels and constraints; inconsistent
     unions and unions over k are dropped.  The first level that labels the
     target gives the answer.
+
+    The search tries only values that fit the remaining cost (forward
+    checking).  A value of a free variable that matches no stored fact and
+    no insertion the label requires, in some literal of each of j relations
+    among the positive stored literals ground at its step, costs at least j
+    edits.  So when those relations outnumber the room r = k - cost, the
+    variable tries, in the usual order, only the values of the instance
+    index and of the label's insertions that leave at most r of them
+    unmatched.  A goal rule instance of cost k with no derived literal and
+    no stored literal of a relation read both ways left can only reach one
+    label, the same ``(goal, (), label, n)`` entry whatever it completes
+    with, so it stops at its first completion.  With a budget, the search
+    returns None at once when the ground stored literals of every goal rule
+    force more edits than the budget.
 
     Fresh constants are interchangeable, so labels are stored up to
     renaming them, and a rule instance tries only the fresh constants it
@@ -480,6 +513,9 @@ def _label_search(
     is_fresh = frozenset(domain.constants) - active_domain(program, instance, target)
     fresh = [c for c in domain.constants if c in is_fresh]
     fixed = [c for c in domain.constants if c not in is_fresh]
+    # The place of each value in the order that ``choices`` gives.
+    rank_of = {v: n for n, v in enumerate(fixed + fresh)}.__getitem__
+    index = _index_instance(instance.facts)
     store: dict[str, _Relation] = {}
     by_atom: dict[tuple[str, tuple[str, ...]], list[frozenset]] = {}
 
@@ -509,6 +545,20 @@ def _label_search(
     # The first (rule, assignment) of each label of the goal, for unions.
     witnesses: dict[frozenset, tuple[int, dict[str, str]]] | None = None if readers else {}
 
+    def floor(i: int) -> int:
+        """The distinct edits that rule ``i``'s ground stored literals force."""
+        start, (ground, _), *_ = _label_plan(rules[i], idb, None)
+        return len({(rel, get(start)) for pos, rel, get in ground if ((rel, get(start)) in present) != pos})
+
+    if budget is not None and all(floor(i) > budget for i in live if rules[i].head == boolean.answer):
+        return None
+    # Each (rule, first) plan of this search, looked up once, with the step
+    # from which a rule instance of cost k stops at its first completion.
+    # For a goal rule, every step from it on is a free slot whose stored
+    # literals read no relation in ``both``, so that no completion adds to
+    # the label; other rules never stop.
+    plans: dict[tuple[int, int | None], tuple] = {}
+
     def choices(u: int) -> Iterator[tuple[str, int]]:
         """Values for a new variable, with the count of fresh names in use."""
         for v in itertools.chain(fixed, fresh[:u]):
@@ -520,8 +570,17 @@ def _label_search(
         """Append to ``out`` the canonical ``(relation, args, label, n)`` of
         each rule instance of cost exactly k, with the ``first``-th derived
         literal reading ``delta``."""
-        start, pre, steps, head, variables = _label_plan(rules[i], idb, first)
         relation_out = rules[i].head
+        if (i, first) not in plans:
+            plan = _label_plan(rules[i], idb, first)
+            steps = plan[2]
+            settle = len(steps)
+            while relation_out == boolean.answer and settle and isinstance(steps[settle - 1][0], int):
+                if not both.isdisjoint(rel for _, rel, _ in steps[settle - 1][1]):
+                    break
+                settle -= 1
+            plans[i, first] = plan, settle
+        (start, pre, steps, head, variables), settle = plans[i, first]
         values = list(start)
 
         def check(lits, neqs, label: frozenset, cost: int):
@@ -540,6 +599,35 @@ def _label_search(
                         return None
                     label = label | {(relation, args, positive)}
             return label, cost
+
+        def narrow(need: tuple, slot: int, label: frozenset, room: int, u: int) -> list[tuple[str, int]]:
+            """The choices for ``slot`` that leave an edit in at most ``room``
+            of the relations of ``need``: in each of the others, every
+            literal must match a stored fact or a required insertion.  So
+            each such value matches the first literal of one of the first
+            ``room + 1`` relations."""
+            seen = set()
+            for relation, columns, pick, known, position, _ in need[: room + 1]:
+                key = known(values)
+                for args in index.get(relation, _EMPTY_RELATION).lookup(columns, key):
+                    seen.add(args[position])
+                for c in label:
+                    if c[0] == relation and c[2] and pick(c[1]) == key:
+                        seen.add(c[1][position])
+            kept = []
+            for values[slot] in sorted(seen, key=rank_of):
+                missed = 0
+                for relation, _, _, _, _, readers in need:
+                    for get in readers:
+                        args = get(values)
+                        if (relation, args) not in present and (relation, args, True) not in label:
+                            missed += 1
+                            break
+                    if missed > room:
+                        break
+                else:
+                    kept.append((values[slot], u))
+            return kept
 
         def merge(label: frozenset, cost: int, constraints: Iterable[tuple], rho: Mapping[str, str]):
             """``label`` and its cost with ``constraints`` renamed by ``rho``
@@ -598,18 +686,23 @@ def _label_search(
             if witnesses is not None and label not in witnesses:
                 witnesses[label] = (i, {name: rho.get(values[s], values[s]) for name, s in variables})
 
-        def run(s: int, label: frozenset, cost: int, u: int) -> None:
+        def run(s: int, label: frozenset, cost: int, u: int) -> bool:
+            """Complete the rule instance from step ``s``.  From ``settle``
+            on at cost k, the instance stops at its first completion and
+            tells whether it emitted; elsewhere the result is False."""
             if s == len(steps):
                 if cost == k:
                     emit(label, u)
-                return
-            step, lits, neqs = steps[s]
+                return cost == k
+            step, lits, neqs, need = steps[s]
             if isinstance(step, int):
-                for values[step], nu in choices(u):
+                room = k - cost
+                stop = room == 0 and s >= settle
+                for values[step], nu in narrow(need, step, label, room, u) if len(need) > room else choices(u):
                     r = check(lits, neqs, label, cost)
-                    if r is not None:
-                        run(s + 1, *r, nu)
-                return
+                    if r is not None and run(s + 1, *r, nu) and stop:
+                        return True
+                return False
             relation, slots, columns, binds, repeats = step
             source = delta if s == 0 and delta is not None else store.get(relation, _EMPTY_RELATION)
             for row in source.lookup(columns, wild(values[slots[c]] for c in columns)):
@@ -633,6 +726,7 @@ def _label_search(
                     r = check(lits, neqs, joined, c)
                     if r is not None:
                         run(s + 1, *r, nu)
+            return False
 
         r = check(*pre, frozenset(), 0)
         if r is not None:

@@ -37,14 +37,29 @@ def random_cqneg_rule(
     consts: tuple[str, ...] = CONSTS,
     schema: tuple[tuple[str, int], ...] = BINARY_SCHEMA,
     negation: bool = True,
+    repeat: float = 0.0,
 ) -> Rule:
     pool = VAR_NAMES[: rng.randint(1, max_vars)]
     n_literals = rng.randint(1, max_literals)
     n_pos = rng.randint(1, n_literals)
     body: list = []
     seen: set[str] = set()
+
+    def relation(copy: float) -> tuple[str, int] | RelLiteral:
+        """A schema relation, or with probability ``repeat`` an earlier
+        literal's, or with probability ``repeat * copy`` that literal."""
+        earlier = [lit for lit in body if isinstance(lit, RelLiteral)]
+        if repeat and earlier and rng.random() < repeat:
+            lit = rng.choice(earlier)
+            return lit if rng.random() < copy else (lit.relation, len(lit.args))
+        return schema[rng.randrange(len(schema))]
+
     for i in range(n_pos):
-        rel, arity = schema[rng.randrange(len(schema))]
+        drawn = relation(0.5)
+        if isinstance(drawn, RelLiteral):
+            body.append(drawn)
+            continue
+        rel, arity = drawn
         args = []
         for k in range(arity):
             force_var = i == 0 and k == 0 and head_arity > 0
@@ -64,7 +79,7 @@ def random_cqneg_rule(
 
     for _ in range(n_literals - n_pos):
         if negation and rng.random() < 0.5:
-            rel, arity = schema[rng.randrange(len(schema))]
+            rel, arity = relation(0.0)
             args = tuple(term() for _ in range(arity))
             if any(t.is_variable and t.name not in seen for t in args):
                 continue
@@ -94,6 +109,7 @@ def random_ucqneg_program(
     consts: tuple[str, ...] = CONSTS,
     schema: tuple[tuple[str, int], ...] = BINARY_SCHEMA,
     negation: bool = True,
+    repeat: float = 0.0,
 ) -> Program:
     arity = rng.randint(0, max_arity)
     rules = [
@@ -105,6 +121,7 @@ def random_ucqneg_program(
             consts=consts,
             schema=schema,
             negation=negation,
+            repeat=repeat,
         )
         for _ in range(rng.randint(1, max_rules))
     ]

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import time
 
 import pytest
 
@@ -288,6 +289,41 @@ class TestRuleSearch:
         assert result.repair == Update.of(facts("p(_c1)", "r(_c1)"))
         assert result.witness_assignment == {"X": "_c1"}
 
+    def test_edits_count_per_relation_not_per_literal(self):
+        # A value that matches no literal of a relation costs at least one
+        # edit for it, not one per literal: p(X), p(X) and r(c,Y), r(Y,Y)
+        # each need one insertion at most, so no level-1 value may be cut.
+        program = parse_program("ans :- p(X), p(X). ans :- r(c,Y), r(Y,Y), Y != b.")
+        oracle = oracle_ma_min(program, Instance.of(), ())
+        assert oracle.repair == Update.of(facts("p(_c0)"))
+        for dispatch in (True, False):
+            result = ma_min_ucqneg(program, Instance.of(), (), dispatch=dispatch)
+            assert result.repair == oracle.repair
+            assert result.witness_assignment == {"X": "_c0"}
+
+    @pytest.mark.parametrize(
+        "source, facts_text, witness",
+        [
+            # The cost reaches the level at q(X); Y's step still reads p
+            # both ways, so its instances keep different constraints.
+            ("ans :- q(X), p(X,Y), !p(Y,X).", "p(a,b). p(b,a). p(a,c).", {"X": "a", "Y": "c"}),
+            (
+                "ans :- q(X), p(X,Y), !p(Y,X), p(Y,Z), !p(Z,Z).",
+                "q(a). p(a,a). p(b,a). p(a,b). p(b,b).",
+                {"X": "a", "Y": "_c0", "Z": "_c1"},
+            ),
+        ],
+    )
+    def test_relation_read_both_ways_after_the_level_is_reached(self, source, facts_text, witness):
+        program, instance = parse_program(source), parse_instance(facts_text)
+        oracle = oracle_ma_min(program, instance, (), budget=3)
+        assert oracle.status == "found"
+        for dispatch in (True, False):
+            result = ma_min_ucqneg(program, instance, (), dispatch=dispatch)
+            assert result.repair == oracle.repair
+            assert result.witness_assignment == witness
+            assert repair_for_assignment(program.rules[0], witness, instance) == oracle.repair
+
     def test_matches_brute_force_per_rule(self):
         rng = random.Random(35)
         consts = ("a", "b")
@@ -448,6 +484,20 @@ class TestSpDatalog:
         assert result.size == 1
         assert result.repair == Update.of((), facts("blocked(a)"))
 
+    def test_goal_rule_floor_over_the_budget(self):
+        # The answer rule's ground literals p0(a)..p7(a) force 8 insertions,
+        # so no budget below 8 can label the goal; the search stops before
+        # building any level, whose labels of t grow about tenfold each.
+        body = ", ".join(f"p{j}(X)" for j in range(8))
+        program = parse_program(
+            f"t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), t(Y,Z). ans(X,Y) :- t(X,Y), !u(X), {body}. @answer ans."
+        )
+        instance = parse_instance("e(a,b). e(b,c). u(c).")
+        started = time.perf_counter()
+        for budget in range(8):
+            assert ma_min_spdatalog(program, instance, ("a", "d"), budget).status == "budget_exhausted"
+        assert time.perf_counter() - started < 1.0
+
     @pytest.mark.parametrize(
         "answer, data",
         [
@@ -471,10 +521,19 @@ class TestSpDatalog:
 
 class TestOracle:
     def test_matches_ucq_solver_on_small_inputs(self):
-        rng = random.Random(32)
-        for _ in range(400):
+        self.compare_ucq_solver(32, 400)
+
+    def test_matches_ucq_solver_on_repeated_relations_and_literals(self):
+        """Rules that read one relation several times, or repeat a literal,
+        test that the cut on a variable's values counts edits per relation."""
+        self.compare_ucq_solver(36, 300, max_literals=4, max_vars=3, repeat=0.5)
+
+    @staticmethod
+    def compare_ucq_solver(seed, count, max_literals=3, max_vars=2, repeat=0.0):
+        rng = random.Random(seed)
+        for _ in range(count):
             program = random_ucqneg_program(
-                rng, max_rules=2, max_literals=3, max_vars=2, consts=("a", "b")
+                rng, max_rules=2, max_literals=max_literals, max_vars=max_vars, consts=("a", "b"), repeat=repeat
             )
             instance = random_instance(rng, max_facts=4, consts=("a", "b"))
             target = random_target(rng, program.arity, ("a", "b"))

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -178,3 +179,25 @@ class TestCostTransfer:
             repaired = apply_update(instance, padded)
             assert eval_member(program, repaired, target)
             assert len(extract_h(cover, padded)) <= update_size(padded)
+
+    def test_many_equal_covers_solve_fast(self):
+        """18 elements and 3 sets of density 0.9: thousands of assignments
+        of the set variables reach the same size-2 repair.  The search stops
+        each saturated one at its first completion and tries only sets that
+        fit the remaining cost, so the solve takes milliseconds where
+        visiting every tie took seconds; the repair and the witness are
+        those of the exhaustive search."""
+        from dlrepair import ma_min
+
+        cover = generate(1, 18, 3, 0.9)
+        program, instance, target = reduce_f(cover)
+        started = time.perf_counter()
+        found = ma_min(program, instance, target)
+        elapsed = time.perf_counter() - started
+        assert found.size == len(exact_cover(cover)) == 2
+        assert found.repair == Update.of([Fact("f", ("b1", "a18")), Fact("p", ("b1",))])
+        assert found.witness_assignment == {
+            **{f"X{i}": f"a{i}" for i in range(1, 19)},
+            **{f"Y{i}": "b1" for i in range(1, 19)},
+        }
+        assert elapsed < 1.0
