@@ -1,21 +1,23 @@
 """Query evaluation.
 
 Answers come from a bottom-up fixpoint, semi-naive by default; a naive
-fixpoint is kept for the tests to compare.  Each rule runs a join plan
-compiled once from its equality closure (``_plan``), without recursion.
+fixpoint is kept for the tests to compare.  ``_plan`` is the one rule
+compiler: it turns a rule, once, into slots for its equality classes,
+lookups and checks, which the engine runs without recursion and the
+repair search (``repair._label_search``) runs over edit labels.
 Membership runs the query specialised to the target (``model.specialize``)
 after checking the program and instance once, as written (``_member_test``):
 a non-recursive query stops at the first solution of a pinned rule, and a
-datalog program computes its goal's fixpoint.
-Only the brute-force oracle tests candidate instances here.  The solvers
-ground rules themselves, over edit labels (``repair._label_search``), and
-the datalog ones call ``eval_member`` once to check the repair they return.
+datalog program computes its goal's fixpoint.  Only the brute-force oracle
+tests candidate instances here; the datalog solvers call ``eval_member``
+once to check the repair they return.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -23,14 +25,13 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .classify import classify
 from .model import (
     ArityMismatch,
-    Comparison,
     Fact,
     Instance,
     Program,
-    RelLiteral,
     Rule,
     Term,
     _Closure,
+    body_terms,
     specialize,
     ungrounded_vars,
 )
@@ -109,83 +110,129 @@ def _check_instance(program: Program, facts: Iterable[Fact]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Join plans
+# Rule plans
 
 
 # Bounded, since a long-lived process may evaluate many distinct programs.
 @functools.lru_cache(maxsize=4096)
-def _plan(rule: Rule) -> tuple | None:
-    """The join plan of ``rule``, or None when its equality atoms equate two
-    distinct constants.  A target reaches a rule only as equality atoms
-    (``model.pin``).
+def _plan(rule: Rule, joined: frozenset[str] | None = None, first: int | None = None) -> tuple | None:
+    """How to ground ``rule``, or None when no assignment can satisfy it:
+    its equality atoms equate two distinct constants, a ``!=`` atom
+    compares a class with itself, or a fact is needed both present and
+    absent from the start.  A target reaches a rule only as equality atoms
+    (``model.pin``).  Both the engine (``joined`` None) and the label
+    search (``repair._label_search``, ``joined`` the derived symbols)
+    ground rules by this plan.  With ``joined`` None, ValueError is raised
+    on an unsafe rule.
 
-    An assignment is a list with a slot per equality class.  The plan is
-    ``(constants, size, steps, head)``: the constants the closure forces,
-    the number of slots, the steps, and the head tuple's reader.  A step
-    ``(pos, relation, columns, key, repeats, binds, negated, unequal)``
-    looks up the tuples of body literal ``pos`` holding the ``key`` slots'
-    values at ``columns`` and copies columns into slots by ``binds``; it
-    drops the assignment if a slot that ``binds`` repeats got two values, a
-    ``negated`` literal's tuple is stored, or an ``unequal`` pair agrees.
-    Step 0 reads one row instead, the constants; the positive literals
-    follow, fewest unbound arguments first and lowest body index on ties.
-    Each check sits at the first step where it is ground.
+    An assignment is a list with a slot per equality class, numbered by
+    first appearance in the head, then in the body.  The plan is ``(start,
+    pre, steps, head, variables)``: that list with the forced constants
+    filled in, the checks ground from the start, the steps, the head
+    tuple's reader and the slot of each variable, by name.
+
+    The positive literals over ``joined`` (None: all of them) are the
+    lookups, numbered in body order.  Their steps come first, fewest
+    unbound arguments first and lowest number on ties, with the
+    ``first``-th lookup moved to the front.  A lookup step ``(k, relation,
+    columns, key, repeats, binds)`` reads the rows of lookup k holding the
+    ``key`` slots' values at ``columns`` and copies row positions into
+    slots by the ``binds`` pairs (position, slot), ``repeats`` telling
+    whether a slot is bound twice.  The slots that no lookup binds follow,
+    each a free step, the slot itself, to give each domain value.
+
+    Each step is ``(step, checks, unequal, need)``, and ``pre`` is
+    ``(checks, unequal)``.  The checks are every other relational literal,
+    as ``(positive, relation, reader)``, and ``unequal`` the slot pairs of
+    the ``!=`` atoms, each at the first step where it is ground.  A free
+    step's ``need`` groups its positive checks by relation, as
+    ``(relation, columns, pick, known, position, readers)``: the columns of
+    the group's first literal that hold other slots, the readers of those
+    columns in a fact and of their values in the assignment, a column
+    holding the free slot, and the reader of each literal of the group.
     """
-    if ungrounded_vars(rule):
+    if joined is None and ungrounded_vars(rule):
         raise ValueError("unsafe rule: a variable occurs in no positive literal")
     closure = _Closure(rule)
     if closure.conflict:
         return None
-    slots = {root: i for i, root in enumerate(dict.fromkeys(map(closure.find, list(closure.parent))))}
+    # The slot of each term and of each class.
+    slot: dict[Term, int] = {}
+    roots: dict[tuple[str, str], int] = {}
+    for t in itertools.chain(rule.head_args, body_terms(rule.body)):
+        if t not in slot:
+            slot[t] = roots.setdefault(closure.term_root(t), len(roots))
+    start = tuple(map(closure.forced.get, roots))
 
     def slots_of(terms: Iterable[Term]) -> tuple[int, ...]:
-        return tuple(slots[closure.term_root(t)] for t in terms)
+        return tuple(map(slot.__getitem__, terms))
 
-    forced = {slots[root]: value for root, value in closure.forced.items()}
-    bound_at = dict.fromkeys(forced, 0)
-    positives: list[tuple[int, str, tuple[int, ...]]] = []
+    literals = [(lit.positive, lit.relation, slots_of(lit.args)) for lit in rule.relational_literals()]
+    lookups = [(rel, args) for pos, rel, args in literals if pos and (joined is None or rel in joined)]
+    others = [(pos, rel, args) for pos, rel, args in literals if not pos or joined is not None and rel not in joined]
+    bound_at = {s: -1 for s, v in enumerate(start) if v is not None}
     readers: dict[int, list[int]] = {}
-    for pos, lit in enumerate(rule.body):
-        if isinstance(lit, RelLiteral) and lit.positive:
-            args = slots_of(lit.args)
-            for s in args:
-                readers.setdefault(s, []).append(len(positives))
-            positives.append((pos, lit.relation, args))
-    unbound = [sum(s not in bound_at for s in args) for _, _, args in positives]
-    # (unbound arguments, literal) entries; stale once the count has changed.
+    for k, (_, args) in enumerate(lookups):
+        for s in args:
+            readers.setdefault(s, []).append(k)
+    unbound = [sum(s not in bound_at for s in args) for _, args in lookups]
+    if first is not None:
+        unbound[first] = -1
+    # (unbound arguments, lookup) entries, stale once the count has changed; -1 marks the first and those taken.
     heap = [(n, k) for k, n in enumerate(unbound)]
     heapq.heapify(heap)
-    order = [(-1, "", tuple(forced))]
+    order: list = []
     while heap:
         n, k = heapq.heappop(heap)
         if n == unbound[k]:
             unbound[k] = -1
-            order.append(positives[k])
-            for s in positives[k][2]:
+            relation, args = lookups[k]
+            columns = tuple(j for j, s in enumerate(args) if s in bound_at)
+            binds = tuple((j, s) for j, s in enumerate(args) if s not in bound_at)
+            key = _getter(tuple(args[j] for j in columns))
+            order.append((k, relation, columns, key, len({s for _, s in binds}) < len(binds), binds))
+            for _, s in binds:
                 if s not in bound_at:
                     bound_at[s] = len(order) - 1
                     for other in readers[s]:
                         if unbound[other] > 0:
                             unbound[other] -= 1
                             heapq.heappush(heap, (unbound[other], other))
+    for s in range(len(roots)):
+        if s not in bound_at:
+            bound_at[s] = len(order)
+            order.append(s)
 
-    negated: list[list] = [[] for _ in order]
-    unequal: list[list] = [[] for _ in order]
-    for lit in rule.body:
-        if isinstance(lit, Comparison) and lit.op == "neq":
-            pair = slots_of((lit.left, lit.right))
-            unequal[max(bound_at[s] for s in pair)].append(pair)
-        elif isinstance(lit, RelLiteral) and not lit.positive:
-            where = slots_of(lit.args)
-            negated[max((bound_at[s] for s in where), default=0)].append((lit.relation, _getter(where)))
-    steps = []
-    for i, (pos, relation, args) in enumerate(order):
-        columns = tuple(j for j, s in enumerate(args) if bound_at[s] < i)
-        binds = tuple((j, s) for j, s in enumerate(args) if bound_at[s] == i)
-        repeats = len({s for _, s in binds}) < len(binds)
-        key = _getter(tuple(args[j] for j in columns))
-        steps.append((pos, relation, columns, key, repeats, binds, tuple(negated[i]), tuple(unequal[i])))
-    return tuple(forced.values()), len(slots), tuple(steps), _getter(slots_of(rule.head_args))
+    # Index -1 holds the checks ground from the start.
+    checks: list[list] = [[] for _ in range(len(order) + 1)]
+    unequal: list[list] = [[] for _ in range(len(order) + 1)]
+    groups: dict[int, dict[str, list]] = {}
+    for positive, relation, args in others:
+        at = max((bound_at[s] for s in args), default=-1)
+        checks[at].append((positive, relation, _getter(args)))
+        if positive and at >= 0 and isinstance(order[at], int):
+            groups.setdefault(at, {}).setdefault(relation, []).append(args)
+    absent = {(relation, get(start)) for positive, relation, get in checks[-1] if not positive}
+    if absent and any((rel, tuple(map(start.__getitem__, args))) in absent for pos, rel, args in literals if pos):
+        return None
+    for cmp_ in rule.comparisons():
+        if cmp_.op == "neq":
+            a, b = slots_of((cmp_.left, cmp_.right))
+            if a == b:
+                return None
+            unequal[max(bound_at[a], bound_at[b])].append((a, b))
+    needs: list[tuple] = [()] * len(order)
+    for at, by_relation in groups.items():
+        s, need = order[at], []
+        for relation, group in by_relation.items():
+            lead = group[0]
+            columns = tuple(j for j, x in enumerate(lead) if x != s)
+            known = _getter(tuple(lead[j] for j in columns))
+            need.append((relation, columns, _getter(columns), known, lead.index(s), tuple(map(_getter, group))))
+        needs[at] = tuple(need)
+    steps = tuple(zip(order, map(tuple, checks), map(tuple, unequal), needs))
+    variables = {t.name: s for t, s in slot.items() if t.is_variable}
+    return start, (tuple(checks[-1]), tuple(unequal[-1])), steps, _getter(slots_of(rule.head_args)), variables
 
 
 def rule_solutions(
@@ -195,24 +242,29 @@ def rule_solutions(
     ``rule``, from the rule's plan (``_plan``).
 
     ``relations`` maps each symbol, stored or derived, to its tuples; a
-    symbol it lacks is empty.  ``delta`` makes the positive literal at the
-    given body index read a specific relation view (semi-naive evaluation).
-    Raises ValueError on an unsafe rule.
+    symbol it lacks is empty.  ``delta`` makes the lookup of the given
+    number, counting the positive literals in body order, read a specific
+    relation view (semi-naive evaluation).  Raises ValueError on an unsafe
+    rule.
     """
     plan = _plan(rule)
     if plan is None:
         return
-    constants, size, steps, head = plan
-    vals: list[str | None] = [None] * size
+    # Every positive literal is a lookup, so the checks are negated literals; inequalities
+    # ground from the start compare two forced classes, which hold distinct constants.
+    start, (pre, _), steps, head, _ = plan
+    if any(get(start) in relations.get(name, _EMPTY_RELATION).tuples for _, name, get in pre):
+        return
+    vals = list(start)
     levels = []
-    for pos, relation, columns, key, repeats, binds, negated, unequal in steps:
-        if delta is not None and pos == delta[0]:
-            rel = delta[1]
-        else:
-            rel = relations.get(relation, _EMPTY_RELATION)
-        negated = tuple((relations.get(name, _EMPTY_RELATION).tuples, get) for name, get in negated)
+    for (k, relation, columns, key, repeats, binds), negated, unequal, _ in steps:
+        rel = delta[1] if delta is not None and k == delta[0] else relations.get(relation, _EMPTY_RELATION)
+        negated = tuple((relations.get(name, _EMPTY_RELATION).tuples, get) for _, name, get in negated)
         levels.append((rel, columns, key, repeats, binds, negated, unequal))
-    stack = [iter([constants])]
+    if not levels:
+        yield head(vals)
+        return
+    stack = [iter(levels[0][0].lookup(levels[0][1], levels[0][2](vals)))]
     while stack:
         _, _, _, repeats, binds, negated, unequal = levels[len(stack) - 1]
         for t in stack[-1]:
@@ -261,9 +313,8 @@ def _saturate(program: Program, facts: Iterable[Fact]) -> dict[str, _Relation]:
     # stored symbol is never looked up.
     readers: dict[str, list[tuple[Rule, int]]] = {}
     for rule in program.rules:
-        for pos, lit in enumerate(rule.body):
-            if isinstance(lit, RelLiteral) and lit.positive:
-                readers.setdefault(lit.relation, []).append((rule, pos))
+        for k, lit in enumerate(lit for lit in rule.relational_literals() if lit.positive):
+            readers.setdefault(lit.relation, []).append((rule, k))
 
     def fire(rule: Rule, new: dict[str, set[tuple[str, ...]]], delta=None) -> None:
         seen = relations[rule.head].tuples
@@ -282,8 +333,8 @@ def _saturate(program: Program, facts: Iterable[Fact]) -> dict[str, _Relation]:
         new: dict[str, set[tuple[str, ...]]] = {}
         for sym, tuples in delta.items():
             view = _Relation(tuples)
-            for rule, pos in readers.get(sym, ()):
-                fire(rule, new, delta=(pos, view))
+            for rule, k in readers.get(sym, ()):
+                fire(rule, new, delta=(k, view))
         delta = new
     return relations
 

@@ -5,9 +5,9 @@ placing the target tuple in the query answer.
 
 * one fixpoint that labels each derived atom with the minimal edit sets of
   its proofs, cut off at a cost that rises from 0 until the target has a
-  label (``_label_search``).  It runs on the query specialised to the
-  target (``specialize``), like every solver here, and serves every
-  fragment:
+  label (``_label_search``), grounding rules by the engine's rule plans
+  (``engine._plan``).  It runs on the query specialised to the target
+  (``specialize``), like every solver here, and serves every fragment:
   - non-recursive queries with negated atoms, whose rules read no derived
     symbol, so one round per level labels the target; the most literals in
     one rule bounds the search, and rules with a single atom take a
@@ -35,15 +35,13 @@ order of the search decides.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .classify import classify
-from .engine import _EMPTY_RELATION, _Relation, _check_instance, _getter, _index_instance, _member_test, eval_member
+from .engine import _EMPTY_RELATION, _Relation, _check_instance, _index_instance, _member_test, _plan, eval_member
 from .model import (
-    ArityMismatch,
     Fact,
     Instance,
     Program,
@@ -53,10 +51,10 @@ from .model import (
     _Closure,
     active_domain,
     apply_update,
-    body_terms,
     canonical_key,
     facts_over,
     fresh_constants,
+    make_program,
     pin,
     specialize,
     ungrounded_vars,
@@ -237,13 +235,20 @@ def _join_free(rule: Rule, instance: Instance, target: tuple[str, ...], domain: 
     return Update.of([fact(values)]), assignment(values)
 
 
+def _rule_program(rule: Rule, instance: Instance, target: tuple[str, ...]) -> Program:
+    """The one-rule program of ``rule``, with the target and the instance checked against it."""
+    program = make_program([rule], rule.head, validate=False)
+    program.check_target(target)
+    _check_instance(program, instance.facts)
+    return program
+
+
 def ma_min_projection_free(rule: Rule, instance: Instance, target: tuple[str, ...]) -> RepairResult:
     """Rules with no bound variables: pinning the head to the target assigns
     every variable, so the repair is the one that assignment induces."""
     if rule.bound_vars:
         raise NotProjectionFree(f"rule for {rule.head} has bound variables")
-    if len(target) != len(rule.head_args):
-        raise ArityMismatch(f"target has length {len(target)}, head arity is {len(rule.head_args)}")
+    _rule_program(rule, instance, target)
     cl = _Closure(pin(rule, target, rule.head))
     binding = None if cl.conflict else {t.name: cl.forced[cl.term_root(t)] for t in rule.head_args}
     update = None if binding is None else repair_for_assignment(rule, binding, instance)
@@ -257,9 +262,7 @@ def ma_min_join_free(rule: Rule, instance: Instance, target: tuple[str, ...]) ->
     the repair is empty or a single insertion/deletion."""
     if len(rule.relational_literals()) != 1:
         raise NotJoinFree(f"rule for {rule.head} does not have exactly one relational literal")
-    if len(target) != len(rule.head_args):
-        raise ArityMismatch(f"target has length {len(target)}, head arity is {len(rule.head_args)}")
-    program = Program((rule,), rule.head, {})
+    program = _rule_program(rule, instance, target)
     res = _join_free(rule, instance, target, SearchDomain.for_ucq(program, instance, target).constants)
     if res is None:
         return RepairResult.no_repair()
@@ -357,91 +360,6 @@ def _least_relabelling(
     return key, rho
 
 
-# Bounded, since a long-lived process may solve for many distinct programs.
-@functools.lru_cache(maxsize=4096)
-def _label_plan(rule: Rule, idb: frozenset[str], first: int | None):
-    """How the label fixpoint grounds ``rule``, or None when no assignment
-    can satisfy it.  A target reaches a rule only as equality atoms
-    (``model.pin``).
-
-    An assignment is a list with a slot per equality class, forced classes
-    filled in.  The plan is ``(start, pre, steps, head, variables)``: that
-    list, the checks ground from the start, the steps, the head tuple's
-    reader and the (name, slot) pair of each variable, by name.  A
-    step is a derived literal ``(relation, slots, columns, binds, repeats)``,
-    matched against stored labels by its argument positions ``columns``
-    that are already bound and binding the ``binds`` pairs (position, slot),
-    ``repeats`` telling whether a slot is bound twice, or a free slot to
-    give each domain value.  Derived literals come first, the
-    ``first``-th of them (in body order) ahead of the others.  Each step
-    carries the checks that are ground once it is done: stored literals
-    ``(positive, relation, reader)`` and pairs of slots that must differ.
-    A free slot's step also carries those of its stored literals that are
-    positive, grouped by relation, as ``(relation, columns, pick, known,
-    position, readers)``: the columns of the group's first literal that
-    hold other slots, the readers of those columns in a fact and of their
-    values in the assignment, a column holding the free slot, and the
-    reader of each literal of the group.
-    """
-    cl = _Closure(rule)
-    if cl.conflict:
-        return None
-    roots = list(dict.fromkeys(map(cl.term_root, itertools.chain(rule.head_args, body_terms(rule.body)))))
-    slot = {root: i for i, root in enumerate(roots)}
-    start = [cl.forced.get(root) for root in roots]
-
-    def slots_of(terms: Iterable[Term]) -> tuple[int, ...]:
-        return tuple(slot[cl.term_root(t)] for t in terms)
-
-    derived = [(lit.relation, slots_of(lit.args)) for lit in rule.relational_literals() if lit.relation in idb]
-    if first is not None:
-        derived.insert(0, derived.pop(first))
-    bound_at = {s: -1 for s, v in enumerate(start) if v is not None}
-    order: list = []
-    for relation, args in derived:
-        columns = tuple(j for j, s in enumerate(args) if s in bound_at)
-        binds = tuple((j, s) for j, s in enumerate(args) if s not in bound_at)
-        bound_at.update((s, len(order)) for _, s in binds)
-        order.append((relation, args, columns, binds, len({s for _, s in binds}) < len(binds)))
-    for s in range(len(roots)):
-        if s not in bound_at:
-            bound_at[s] = len(order)
-            order.append(s)
-
-    # Index -1 holds the checks ground from the start.
-    lits: list[list] = [[] for _ in range(len(order) + 1)]
-    neqs: list[list] = [[] for _ in range(len(order) + 1)]
-    groups: list[dict] = [{} for _ in range(len(order) + 1)]
-    for lit in rule.relational_literals():
-        if lit.relation not in idb:
-            args = slots_of(lit.args)
-            at = max((bound_at[s] for s in args), default=-1)
-            lits[at].append((lit.positive, lit.relation, _getter(args)))
-            if lit.positive and at >= 0 and isinstance(order[at], int):
-                groups[at].setdefault(lit.relation, []).append(args)
-    for cmp_ in rule.comparisons():
-        if cmp_.op == "neq":
-            a, b = slots_of((cmp_.left, cmp_.right))
-            if a == b:
-                return None
-            neqs[max(bound_at[a], bound_at[b])].append((a, b))
-    ground = {(positive, relation, get(start)) for positive, relation, get in lits[-1]}
-    if any((not positive, relation, args) in ground for positive, relation, args in ground):
-        return None
-    needs: list[tuple] = []
-    for at, s in enumerate(order):
-        need = []
-        for relation, group in groups[at].items():
-            lead = group[0]
-            columns = tuple(j for j, x in enumerate(lead) if x != s)
-            known = _getter(tuple(lead[j] for j in columns))
-            need.append((relation, columns, _getter(columns), known, lead.index(s), tuple(map(_getter, group))))
-        needs.append(tuple(need))
-    steps = tuple(zip(order, lits, neqs, needs))
-    variables = tuple((name, slot[cl.term_root(var(name))]) for name in sorted(rule.all_vars))
-    return start, (lits[-1], neqs[-1]), steps, _getter(slots_of(rule.head_args)), variables
-
-
 def _label_search(
     program: Program, instance: Instance, target: tuple[str, ...], domain: SearchDomain, budget: int | None
 ) -> tuple[Update, dict[str, str] | None] | None:
@@ -531,7 +449,7 @@ def _label_search(
         if symbol not in needed:
             needed.add(symbol)
             for i, rule in enumerate(rules):
-                if rule.head == symbol and _label_plan(rule, idb, None) is not None:
+                if rule.head == symbol and _plan(rule, idb, None) is not None:
                     live.add(i)
                     todo.extend(lit.relation for lit in rule.relational_literals() if lit.relation in idb)
     # The (rule, derived literal) pairs that read each symbol.
@@ -547,7 +465,7 @@ def _label_search(
 
     def floor(i: int) -> int:
         """The distinct edits that rule ``i``'s ground stored literals force."""
-        start, (ground, _), *_ = _label_plan(rules[i], idb, None)
+        start, (ground, _), *_ = _plan(rules[i], idb, None)
         return len({(rel, get(start)) for pos, rel, get in ground if ((rel, get(start)) in present) != pos})
 
     if budget is not None and all(floor(i) > budget for i in live if rules[i].head == boolean.answer):
@@ -572,7 +490,7 @@ def _label_search(
         literal reading ``delta``."""
         relation_out = rules[i].head
         if (i, first) not in plans:
-            plan = _label_plan(rules[i], idb, first)
+            plan = _plan(rules[i], idb, first)
             steps = plan[2]
             settle = len(steps)
             while relation_out == boolean.answer and settle and isinstance(steps[settle - 1][0], int):
@@ -684,7 +602,7 @@ def _label_search(
                 label = frozenset((r, tuple(rho.get(a, a) for a in c), pos) for r, c, pos in label)
             out.append((relation_out, args, label, n))
             if witnesses is not None and label not in witnesses:
-                witnesses[label] = (i, {name: rho.get(values[s], values[s]) for name, s in variables})
+                witnesses[label] = (i, {name: rho.get(values[s], values[s]) for name, s in variables.items()})
 
         def run(s: int, label: frozenset, cost: int, u: int) -> bool:
             """Complete the rule instance from step ``s``.  From ``settle``
@@ -703,14 +621,14 @@ def _label_search(
                     if r is not None and run(s + 1, *r, nu) and stop:
                         return True
                 return False
-            relation, slots, columns, binds, repeats = step
+            _, relation, columns, key, repeats, binds = step
             source = delta if s == 0 and delta is not None else store.get(relation, _EMPTY_RELATION)
-            for row in source.lookup(columns, wild(values[slots[c]] for c in columns)):
+            bound = key(values)
+            for row in source.lookup(columns, wild(bound)):
                 args, child, n = row[-1]
                 rho: dict[str, str] = {}
                 if any(
-                    args[c] in is_fresh and rho.setdefault(args[c], values[slots[c]]) != values[slots[c]]
-                    for c in columns
+                    args[c] in is_fresh and rho.setdefault(args[c], v) != v for c, v in zip(columns, bound)
                 ) or len(set(rho.values())) < len(rho):
                     continue
                 rest = [f for f in fresh[:n] if f not in rho]
@@ -772,7 +690,7 @@ def _label_search(
         return update, None
     i, assignment = witnesses[label]
     spare = iter(name for name in names if name not in rho.values())
-    for v in assignment.values():
+    for _, v in sorted(assignment.items()):
         if v in is_fresh and v not in rho:
             rho[v] = next(spare)
     witness = {name: rho.get(v, v) for name, v in assignment.items()}

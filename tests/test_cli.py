@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import dlrepair
+import pool_digest
 from dlrepair import apply_update, eval_member, parse_fact, parse_instance, parse_program, Update
 from dlrepair.cli import run
 
@@ -441,6 +442,16 @@ class TestOutputIsProcessIndependent:
         payload = json.loads(first)
         assert (payload["size"], payload["insert"], payload["delete"]) == (3, ["a(n2)", "c(n3)"], ["b(n3)"])
         assert first == second
+
+
+class TestBenchmarkPools:
+    """Exit codes and stdout of the first 40 seed-1 requests of each
+    benchmark workload, against the digest recorded in
+    ``pool_digest_seed1.txt`` (``pool_digest.py --count 40``)."""
+
+    def test_first_requests_match_the_recorded_digest(self):
+        expected = (Path(__file__).parent / "pool_digest_seed1.txt").read_text().splitlines()
+        assert list(pool_digest.digest_lines(pool_digest.WORKLOADS, 1, 40)) == expected
 
 
 def test_module_entry_point(triangle):

@@ -158,6 +158,14 @@ class TestProjectionFree:
         with pytest.raises(NotProjectionFree):
             ma_min_projection_free(rule, Instance.of(), ("a",))
 
+    def test_checks_the_instance_like_ma_min(self):
+        rule = parse_program("ans(X) :- r(X), !s(X).").rules[0]
+        for solve in (ma_min_projection_free, lambda rule, *rest: ma_min(make_program([rule]), *rest)):
+            with pytest.raises(ArityMismatch):
+                solve(rule, parse_instance("r(a,b)."), ("a",))
+            with pytest.raises(ValueError, match="derived relation ans"):
+                solve(rule, parse_instance("r(a). ans(a)."), ("a",))
+
     def test_every_route_returns_the_induced_repair(self):
         """The head binding fixes every variable, so each route, dispatched
         or not, must return exactly the repair that binding induces, with
@@ -229,6 +237,14 @@ class TestJoinFree:
         rule = parse_program("ans(X) :- X = a.").rules[0]
         with pytest.raises(NotJoinFree, match="does not have exactly one relational literal"):
             ma_min_join_free(rule, Instance.of(), ("a",))
+
+    def test_checks_the_instance_like_ma_min(self):
+        rule = parse_program("ans(X) :- r(X,Y).").rules[0]
+        for solve in (ma_min_join_free, lambda rule, *rest: ma_min(make_program([rule]), *rest)):
+            with pytest.raises(ArityMismatch):
+                solve(rule, parse_instance("r(a)."), ("a",))
+            with pytest.raises(ValueError, match="derived relation ans"):
+                solve(rule, parse_instance("r(a,b). ans(a)."), ("a",))
 
     def test_least_insertion_reuses_constants(self):
         # The least matching fact repeats a value where no comparison
