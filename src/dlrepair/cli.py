@@ -143,7 +143,10 @@ def _print_repair(result: repair_mod.RepairResult, out) -> None:
 
 
 def _read_repair_json(path: str) -> Update:
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError("repair JSON is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"repair JSON must be an object, got {type(data).__name__}")
     lists = []
@@ -246,15 +249,6 @@ def run(argv: list[str], out=None, err=None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except (SourceError, ArityMismatch, InvalidUpdate, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=err)
-        return EXIT_INPUT
-    except RecursionError:
-        # The repair label search recurses once per step of a rule's plan:
-        # each derived literal and each variable class they leave unbound.
-        print(
-            f"error: input too deep: exceeded the recursion limit of {sys.getrecursionlimit()} "
-            "(the repair search takes a frame per derived literal and per unbound variable class of a rule)",
-            file=err,
-        )
         return EXIT_INPUT
 
 

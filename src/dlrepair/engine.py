@@ -3,8 +3,9 @@
 Answers come from a bottom-up fixpoint, semi-naive by default; a naive
 fixpoint is kept for the tests to compare.  ``_plan`` is the one rule
 compiler: it turns a rule, once, into slots for its equality classes,
-lookups and checks, which the engine runs without recursion and the
-repair search (``repair._label_search``) runs over edit labels.
+lookups and checks, which the engine and the repair search
+(``repair._label_search``, over edit labels) both walk over an explicit
+stack, so neither recurses with the length of a rule.
 Membership runs the query specialised to the target (``model.specialize``)
 after checking the program and instance once, as written (``_member_test``):
 a non-recursive query stops at the first solution of a pinned rule, and a

@@ -235,26 +235,12 @@ def _join_free(rule: Rule, instance: Instance, target: tuple[str, ...], domain: 
     return Update.of([fact(values)]), assignment(values)
 
 
-def _rule_program(rule: Rule, instance: Instance, target: tuple[str, ...]) -> Program:
-    """The one-rule program of ``rule``, with the target and the instance checked against it."""
-    program = make_program([rule], rule.head, validate=False)
-    program.check_target(target)
-    _check_instance(program, instance.facts)
-    return program
-
-
 def ma_min_projection_free(rule: Rule, instance: Instance, target: tuple[str, ...]) -> RepairResult:
     """Rules with no bound variables: pinning the head to the target assigns
     every variable, so the repair is the one that assignment induces."""
     if rule.bound_vars:
         raise NotProjectionFree(f"rule for {rule.head} has bound variables")
-    _rule_program(rule, instance, target)
-    cl = _Closure(pin(rule, target, rule.head))
-    binding = None if cl.conflict else {t.name: cl.forced[cl.term_root(t)] for t in rule.head_args}
-    update = None if binding is None else repair_for_assignment(rule, binding, instance)
-    if update is None:
-        return RepairResult.no_repair()
-    return RepairResult.found(update, binding)
+    return ma_min_ucqneg(make_program([rule], rule.head, validate=False), instance, target)
 
 
 def ma_min_join_free(rule: Rule, instance: Instance, target: tuple[str, ...]) -> RepairResult:
@@ -262,11 +248,7 @@ def ma_min_join_free(rule: Rule, instance: Instance, target: tuple[str, ...]) ->
     the repair is empty or a single insertion/deletion."""
     if len(rule.relational_literals()) != 1:
         raise NotJoinFree(f"rule for {rule.head} does not have exactly one relational literal")
-    program = _rule_program(rule, instance, target)
-    res = _join_free(rule, instance, target, SearchDomain.for_ucq(program, instance, target).constants)
-    if res is None:
-        return RepairResult.no_repair()
-    return RepairResult.found(*res)
+    return ma_min_ucqneg(make_program([rule], rule.head, validate=False), instance, target)
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +330,47 @@ def _least_relabelling(
 ) -> tuple[tuple, dict[str, str]]:
     """The canonically least ``(insertions, deletions)`` key of an update
     given as fact tuples, over every map of the fresh constants of its
-    insertions onto the least fresh ``names``, and that map.  Deletions hold
-    no fresh constant."""
+    insertions onto the least fresh ``names``, and the first map in
+    permutation order that gives it.  Deletions hold no fresh constant.
+
+    The key is built a fact at a time: the next is the least fact that any
+    extension of a map so far can give, each new constant of that fact
+    taking the least unused name, and only ties branch.  A constant whose
+    swap with an earlier one leaves the insertions unchanged is named after
+    it, since the swapped map gives the same key and comes first."""
     moved = sorted({a for _, args in ins for a in args if a in fresh})
-    key = rho = None
-    for perm in itertools.permutations(names[: len(moved)]):
-        r = dict(zip(moved, perm))
-        k = (tuple(sorted((rel, tuple(r.get(a, a) for a in args)) for rel, args in ins)), dels)
-        if key is None or k < key:
-            key, rho = k, r
-    return key, rho
+    if not moved:
+        return (tuple(sorted(ins)), dels), {}
+    # The last constant before each that can swap with it, the insertions
+    # unchanged.  Such swaps are transitive.
+    facts, before = set(ins), {}
+    for i, a in enumerate(moved):
+        for b in reversed(moved[:i]):
+            swap = {a: b, b: a}
+            if {(rel, tuple(swap.get(x, x) for x in args)) for rel, args in ins} == facts:
+                before[a] = b
+                break
+    key: list[tuple] = []
+    # Each partial map, with the facts it has not placed yet.  The names in
+    # use are always the least ones.
+    states: list[tuple[dict[str, str], list[tuple]]] = [({}, list(ins))]
+    while states[0][1]:
+        best, ties = None, {}
+        for rho, left in states:
+            for j, (relation, args) in enumerate(left):
+                new = dict(zip(dict.fromkeys(a for a in args if a in fresh and a not in rho), names[len(rho) :]))
+                if any(b in before and before[b] not in rho and not new.get(before[b], y) < y for b, y in new.items()):
+                    continue
+                least = (relation, tuple(rho.get(a) or new.get(a, a) for a in args))
+                if best is None or least < best:
+                    best, ties = least, {}
+                if least == best:
+                    new.update(rho)
+                    ties.setdefault(frozenset(new.items()), (new, left[:j] + left[j + 1 :]))
+        key.append(best)
+        states = list(ties.values())
+    rho = min((rho for rho, _ in states), key=lambda rho: [rho[a] for a in moved])
+    return (tuple(key), dels), {a: rho[a] for a in moved}
 
 
 def _label_search(
@@ -389,12 +402,17 @@ def _label_search(
     edits.  So when those relations outnumber the room r = k - cost, the
     variable tries, in the usual order, only the values of the instance
     index and of the label's insertions that leave at most r of them
-    unmatched.  A goal rule instance of cost k with no derived literal and
-    no stored literal of a relation read both ways left can only reach one
-    label, the same ``(goal, (), label, n)`` entry whatever it completes
-    with, so it stops at its first completion.  With a budget, the search
-    returns None at once when the ground stored literals of every goal rule
-    force more edits than the budget.
+    unmatched.  With a budget, the search returns None at once when the
+    ground stored literals of every goal rule force more edits than the
+    budget.
+
+    Each rule's plan is walked depth first over an explicit stack, with a
+    frame per entered step: its remaining options, and the label, cost and
+    fresh names in use on entry.  A goal rule instance of cost k with no
+    derived literal and no stored literal of a relation read both ways
+    left can only reach one label, the same ``(goal, (), label, n)`` entry
+    whatever it completes with, so such frames stop: an emission pops
+    every stopping frame on top of the stack.
 
     Fresh constants are interchangeable, so labels are stored up to
     renaming them, and a rule instance tries only the fresh constants it
@@ -562,26 +580,6 @@ def _label_search(
                         return None
             return label.union(added), cost
 
-        def join(groups: list, rest: list[str], m: int, rho: dict[str, str], u: int, label: frozenset, cost: int):
-            """Extend ``rho`` injectively to the fresh constants ``rest[m:]``
-            of a matched label, onto the fresh names in use or new ones.
-            ``groups[m]`` holds the label's constraints complete once
-            ``rest[:m]`` are mapped; each is merged as soon as it is, so an
-            inconsistent or too costly map is cut short.  Yields ``(rho, u,
-            label, cost)``."""
-            r = merge(label, cost, groups[m], rho)
-            if r is None:
-                return
-            if m == len(rest):
-                yield rho, u, *r
-                return
-            taken = set(rho.values())
-            for y in fresh[:u]:
-                if y not in taken:
-                    yield from join(groups, rest, m + 1, {**rho, rest[m]: y}, u, *r)
-            if u < len(fresh):
-                yield from join(groups, rest, m + 1, {**rho, rest[m]: fresh[u]}, u + 1, *r)
-
         def emit(label: frozenset, u: int) -> None:
             args = head(values)
             order = [a for a in args if a in is_fresh]
@@ -604,23 +602,13 @@ def _label_search(
             if witnesses is not None and label not in witnesses:
                 witnesses[label] = (i, {name: rho.get(values[s], values[s]) for name, s in variables.items()})
 
-        def run(s: int, label: frozenset, cost: int, u: int) -> bool:
-            """Complete the rule instance from step ``s``.  From ``settle``
-            on at cost k, the instance stops at its first completion and
-            tells whether it emitted; elsewhere the result is False."""
-            if s == len(steps):
-                if cost == k:
-                    emit(label, u)
-                return cost == k
-            step, lits, neqs, need = steps[s]
-            if isinstance(step, int):
-                room = k - cost
-                stop = room == 0 and s >= settle
-                for values[step], nu in narrow(need, step, label, room, u) if len(need) > room else choices(u):
-                    r = check(lits, neqs, label, cost)
-                    if r is not None and run(s + 1, *r, nu) and stop:
-                        return True
-                return False
+        def lookup(s: int, step: tuple, label: frozenset, cost: int, u: int):
+            """Yield ``(label, cost, u)`` for each row of lookup step ``s``
+            that matches, bound into the slots, with each map of the row's
+            other fresh constants onto the fresh names in use or new ones.
+            The constraints of the row's label are merged as soon as they
+            are complete, so an inconsistent or too costly map is cut
+            short."""
             _, relation, columns, key, repeats, binds = step
             source = delta if s == 0 and delta is not None else store.get(relation, _EMPTY_RELATION)
             bound = key(values)
@@ -633,22 +621,68 @@ def _label_search(
                     continue
                 rest = [f for f in fresh[:n] if f not in rho]
                 at = {x: m + 1 for m, x in enumerate(rest)}
+                # groups[m] holds the constraints complete once rest[:m] are mapped.
                 groups: list[list] = [[] for _ in range(len(rest) + 1)]
                 for con in child:
                     groups[max((at.get(a, 0) for a in con[1]), default=0)].append(con)
-                for full, nu, joined, c in join(groups, rest, 0, rho, u, label, cost):
+                # Depth first over the maps, children pushed in reverse.
+                todo = [(0, rho, u, label, cost)]
+                while todo:
+                    m, full, nu, joined, c = todo.pop()
+                    r = merge(joined, c, groups[m], full)
+                    if r is None:
+                        continue
+                    if m < len(rest):
+                        taken = set(full.values())
+                        ys = [(y, nu) for y in fresh[:nu] if y not in taken]
+                        if nu < len(fresh):
+                            ys.append((fresh[nu], nu + 1))
+                        todo.extend((m + 1, {**full, rest[m]: y}, v, *r) for y, v in reversed(ys))
+                        continue
                     for j, sl in binds:
                         values[sl] = full.get(args[j], args[j])
                     if repeats and any(values[sl] != full.get(args[j], args[j]) for j, sl in binds):
                         continue
-                    r = check(lits, neqs, joined, c)
-                    if r is not None:
-                        run(s + 1, *r, nu)
-            return False
+                    yield *r, nu
 
-        r = check(*pre, frozenset(), 0)
-        if r is not None:
-            run(0, *r, 0)
+        def frame(s: int, label: frozenset, cost: int, u: int) -> tuple:
+            """The search state entered at step ``s``: its options, its slot
+            (None at a lookup) and checks, whether it is the last, the label
+            and cost so far, and whether it stops at its first emission
+            (cost k, from ``settle`` on)."""
+            step, lits, neqs, need = steps[s]
+            last = s + 1 == len(steps)
+            if not isinstance(step, int):
+                return lookup(s, step, label, cost, u), None, lits, neqs, last, label, cost, False
+            room = k - cost
+            options = narrow(need, step, label, room, u) if len(need) > room else choices(u)
+            return iter(options), step, lits, neqs, last, label, cost, room == 0 and s >= settle
+
+        # A first frame checks what is ground from the start, then one frame
+        # per step entered follows, so step s has frame s + 1.
+        stack = [(iter(((frozenset(), 0, 0),)), None, *pre, not steps, None, None, False)]
+        while stack:
+            options, step, lits, neqs, last, label, cost, stop = stack[-1]
+            for option in options:
+                if step is None:
+                    # A matched row brings its own label and cost.
+                    label, cost, u = option
+                else:
+                    values[step], u = option
+                r = check(lits, neqs, label, cost)
+                if r is None:
+                    continue
+                if not last:
+                    stack.append(frame(len(stack) - 1, *r, u))
+                    break
+                if r[1] == k:
+                    emit(r[0], u)
+                    if stop:
+                        while stack[-1][-1]:
+                            stack.pop()
+                        break
+            else:
+                stack.pop()
 
     levels = itertools.count() if budget is None else range(budget + 1)
     for k in levels:

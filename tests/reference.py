@@ -1,11 +1,17 @@
-"""A brute-force datalog evaluator that shares no code with ``dlrepair.engine``.
+"""Brute-force references that share no code with ``dlrepair.engine`` or
+the label search.
 
-Every round grounds each rule with every assignment of its variables over
-the active domain (``itertools.product``), checks each body literal directly
-against the facts known so far, and adds the heads of the assignments that
-satisfy the body; rounds repeat until one derives nothing new.  It is
-exponential in the number of variables per rule, so it only suits small
-programs: it is the reference the engine's fixpoints are compared against.
+``reference_answers`` is a datalog evaluator.  Every round grounds each
+rule with every assignment of its variables over the active domain
+(``itertools.product``), checks each body literal directly against the
+facts known so far, and adds the heads of the assignments that satisfy the
+body; rounds repeat until one derives nothing new.  It is exponential in
+the number of variables per rule, so it only suits small programs: it is
+the reference the engine's fixpoints are compared against.
+
+``least_relabelling_by_permutations`` tries every map of an update's fresh
+constants onto the least fresh names: the reference for
+``repair._least_relabelling``.
 """
 
 from __future__ import annotations
@@ -40,3 +46,17 @@ def reference_answers(program: Program, instance: Instance) -> dict[str, frozens
             break
         known |= new
     return {sym: frozenset(args for rel, args in known if rel == sym) for sym in program.idb}
+
+
+def least_relabelling_by_permutations(ins, dels, names, fresh):
+    """The least ``(sorted insertions, deletions)`` key over every map of the
+    fresh constants of ``ins`` onto the least ``names``, and the first map,
+    in permutation order, that gives it."""
+    moved = sorted({a for _, args in ins for a in args if a in fresh})
+    key = rho = None
+    for perm in itertools.permutations(names[: len(moved)]):
+        r = dict(zip(moved, perm))
+        k = (tuple(sorted((rel, tuple(r.get(a, a) for a in args)) for rel, args in ins)), dels)
+        if key is None or k < key:
+            key, rho = k, r
+    return key, rho

@@ -307,8 +307,9 @@ class TestSetcoverCommands:
             ("[]", "must be an object"),
             ('{"insert": [5]}', "'insert' must be a list of strings"),
             ('{"delete": "s1"}', "'delete' must be a list of strings"),
+            ("[" * 100000, "repair JSON is nested too deeply"),
         ],
-        ids=["array", "non-string-entry", "string-for-list"],
+        ids=["array", "non-string-entry", "string-for-list", "nested-too-deeply"],
     )
     def test_malformed_repair_json_is_an_input_error(self, tmp_path, payload, complaint):
         coverfile = tmp_path / "sc.txt"
@@ -344,23 +345,6 @@ class TestErrors:
         assert code == 65
         assert "variable Y occurs in no positive literal" in err
 
-    def test_recursion_limit_is_an_input_error(self, tmp_path):
-        # The repair label search recurses once per variable class of a
-        # rule, so a rule with 1,001 classes exceeds the default limit; that
-        # must not read as "no repair" (exit 1).  Evaluation does not recurse
-        # and answers on the same rule.
-        n = 1000
-        query = tmp_path / "chain.dl"
-        query.write_text("ans :- " + ", ".join(f"e(X{i},X{i + 1})" for i in range(n)) + ".\n")
-        empty = tmp_path / "empty.facts"
-        empty.write_text("")
-        code, out, err = invoke(["repair", "-q", query, "-d", empty, "-t", "()"])
-        assert (code, out) == (65, "")
-        assert f"recursion limit of {sys.getrecursionlimit()}" in err
-        data = tmp_path / "chain.facts"
-        data.write_text("".join(f"e(n{i},n{i + 1}).\n" for i in range(n)))
-        assert invoke(["eval", "-q", query, "-d", data, "-t", "()"])[:2] == (0, "true\n")
-
     def test_unsupported_fragment(self, tmp_path):
         query = tmp_path / "spdec.dl"
         query.write_text("t(X) :- e(X). t(X) :- f(X,Y), t(Y), !u(X). @answer t.\n")
@@ -370,8 +354,9 @@ class TestErrors:
 
 
 class TestLongInputs:
-    """Evaluation cost grows about linearly in rules and in body length;
-    only answers are asserted here."""
+    """Evaluation cost grows about linearly in rules and in body length, and
+    neither evaluation nor the repair search recurses; only answers are
+    asserted here."""
 
     def test_eval_on_a_long_rule_chain(self, tmp_path):
         n = 5000
@@ -388,6 +373,32 @@ class TestLongInputs:
         data = tmp_path / "chain.facts"
         data.write_text("".join(f"e(n{i},n{i + 1}).\n" for i in range(n)))
         assert invoke(["eval", "-q", query, "-d", data, "-t", "(n0)"])[:2] == (0, "true\n")
+
+    @pytest.mark.parametrize(
+        "facts, insert",
+        [("".join(f"e(n{i},n{i + 1}).\n" for i in range(5000)), []), ("", ["e(_c0,_c0)"])],
+        ids=["chain-instance", "empty-instance"],
+    )
+    def test_repair_on_a_long_chain_body(self, tmp_path, facts, insert):
+        # 5,001 variable classes, one plan step each.
+        query = tmp_path / "chain.dl"
+        query.write_text("ans :- " + ", ".join(f"e(X{i},X{i + 1})" for i in range(5000)) + ".\n")
+        data = tmp_path / "chain.facts"
+        data.write_text(facts)
+        code, out, _ = invoke(["repair", "-q", query, "-d", data, "-t", "()", "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["size"], payload["insert"], payload["delete"]) == (len(insert), insert, [])
+
+    def test_eval_on_a_long_boolean_chain_body(self, tmp_path):
+        # Every variable is unbound on entry, so evaluation tries the chain
+        # from each stored fact: kept at 1,000 literals.
+        n = 1000
+        query = tmp_path / "chain.dl"
+        query.write_text("ans :- " + ", ".join(f"e(X{i},X{i + 1})" for i in range(n)) + ".\n")
+        data = tmp_path / "chain.facts"
+        data.write_text("".join(f"e(n{i},n{i + 1}).\n" for i in range(n)))
+        assert invoke(["eval", "-q", query, "-d", data, "-t", "()"])[:2] == (0, "true\n")
 
 
 def test_runs_are_independent(triangle):

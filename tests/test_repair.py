@@ -12,6 +12,7 @@ from dlrepair import (
     Instance,
     NotJoinFree,
     NotProjectionFree,
+    NotUcq,
     PartialAssignment,
     Program,
     RelLiteral,
@@ -39,7 +40,8 @@ from dlrepair import (
     update_size,
     var,
 )
-from dlrepair.repair import DEFAULT_SP_BUDGET
+from dlrepair.model import fresh_constants
+from dlrepair.repair import DEFAULT_SP_BUDGET, _least_relabelling
 from randgen import (
     planted_input,
     random_cqneg_rule,
@@ -50,7 +52,7 @@ from randgen import (
     random_target,
     random_ucqneg_program,
 )
-from reference import reference_answers
+from reference import least_relabelling_by_permutations, reference_answers
 
 TRIANGLE = parse_program("s(X,Y,Z) :- r(X,Y), r(Y,Z), !r(Z,X).")
 
@@ -188,6 +190,16 @@ class TestProjectionFree:
             ]
             for result in results:
                 assert (result.status, result.repair, result.witness_assignment) == expected, (rule, target)
+
+
+def test_single_rule_solvers_reject_a_rule_that_reads_its_head():
+    # Such a rule is recursive; no repair inserts a derived fact.
+    x = var("X")
+    reads_head = Rule("ans", (x,), (RelLiteral("ans", (x,)), RelLiteral("r", (x,))))
+    only_head = Rule("ans", (x,), (RelLiteral("ans", (x,)),))
+    for solve, rule in ((ma_min_projection_free, reads_head), (ma_min_join_free, only_head)):
+        with pytest.raises(NotUcq):
+            solve(rule, Instance.of(), ("a",))
 
 
 class TestJoinFree:
@@ -680,6 +692,48 @@ class TestOracle:
         assert hit.size == 0
         miss = oracle_ma_min(TRIANGLE, Instance.of(), ("1", "2", "3"), domain, 0)
         assert miss.status == "budget_exhausted"
+
+
+class TestLeastRelabelling:
+    NAMES = sorted(fresh_constants(12, set()))
+
+    def compare(self, ins, dels=()):
+        fresh = frozenset(self.NAMES)
+        got = _least_relabelling(ins, dels, self.NAMES, fresh)
+        want = least_relabelling_by_permutations(ins, dels, self.NAMES, fresh)
+        assert got == want and list(got[1].items()) == list(want[1].items()), ins
+
+    def test_matches_every_permutation(self):
+        """Random insertions over two to six fresh constants, half of them
+        closed under swaps of two constants, so that maps tie."""
+        rng = random.Random(43)
+        for i in range(1500):
+            moved = rng.sample(self.NAMES, rng.randint(2, 6))
+            pool = moved + ["a", "z"]
+            ins = {(rng.choice("pq"), tuple(rng.choices(pool, k=rng.randint(0, 3)))) for _ in range(rng.randint(1, 7))}
+            for _ in range(rng.randint(0, 3) * (i % 2)):
+                x, y = rng.sample(moved, 2)
+                swap = {x: y, y: x}
+                ins |= {(rel, tuple(swap.get(a, a) for a in args)) for rel, args in ins}
+            ins = list(ins)
+            rng.shuffle(ins)
+            self.compare(ins, tuple(sorted({("p", (rng.choice("ab"),)) for _ in range(rng.randint(0, 2))})))
+
+    def test_long_chain_and_symmetric_insertions(self):
+        # 16 constants: 16! maps, built a fact at a time.  The chain runs
+        # through the names backwards, so the least key renames every one.
+        names = sorted(fresh_constants(16, set()))
+        chain = [("r", (names[i + 1], names[i])) for i in range(15)]
+        assert _least_relabelling(chain, (), names, frozenset(names)) == (
+            (tuple(sorted(("r", (names[i], names[i + 1])) for i in range(15))), ()),
+            {names[15 - i]: names[i] for i in range(16)},
+        )
+        symmetric = [("p", (n,)) for n in names]
+        assert _least_relabelling(symmetric, (), names, frozenset(names)) == (
+            (tuple(("p", (n,)) for n in names), ()),
+            {n: n for n in names},
+        )
+        self.compare([("p", (n,)) for n in self.NAMES[:7]])
 
 
 class TestProperties:

@@ -1,0 +1,53 @@
+"""Checks on the source of ``dlrepair`` itself."""
+
+import ast
+from pathlib import Path
+
+import dlrepair
+
+# The oracle's update enumeration recurses once per insertion of the
+# candidate update, so its depth is at most the update's size.
+ALLOWED = {("repair.py", "_enumerate_updates.rec")}
+
+
+def self_calls(tree: ast.Module, filename: str):
+    """``(file, function, line)`` for each call of a function by its own
+    name, or of a method by ``self.name`` or ``cls.name``."""
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = ".".join(path + [child.name])
+                for call in ast.walk(child):
+                    if isinstance(call, ast.Call):
+                        f = call.func
+                        if isinstance(f, ast.Name) and f.id == child.name or (
+                            isinstance(f, ast.Attribute)
+                            and f.attr == child.name
+                            and isinstance(f.value, ast.Name)
+                            and f.value.id in ("self", "cls")
+                        ):
+                            yield filename, name, call.lineno
+                yield from visit(child, path + [child.name])
+            elif isinstance(child, ast.ClassDef):
+                yield from visit(child, path + [child.name])
+            else:
+                yield from visit(child, path)
+
+    yield from visit(tree, [])
+
+
+def test_no_function_calls_itself():
+    """Nothing recurses with the size of its input: evaluation and the
+    repair search walk explicit stacks."""
+    found = []
+    for path in sorted(Path(dlrepair.__file__).parent.glob("*.py")):
+        for filename, name, line in self_calls(ast.parse(path.read_text()), path.name):
+            if (filename, name) not in ALLOWED:
+                found.append(f"{filename}:{line} {name}")
+    assert found == []
+
+
+def test_the_check_sees_recursion():
+    source = "def f(n):\n    return f(n - 1)\n\nclass C:\n    def g(self):\n        def h():\n            return h()\n        return self.g()\n"
+    assert [name for _, name, _ in self_calls(ast.parse(source), "x.py")] == ["f", "C.g", "C.g.h"]
