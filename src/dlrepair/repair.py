@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .classify import classify
 from .engine import _EMPTY_RELATION, _Relation, _check_instance, _index_instance, _member_test, _plan, eval_member
@@ -388,12 +388,18 @@ def _label_search(
     of edits.  The edits of a least-cost label of the target are a minimum
     repair, and every minimum repair is such a label's edits.
 
-    Level k adds to level k-1 the subset-minimal labels of cost exactly k:
-    one round fires every rule, then each round fires only the literals
-    whose symbol gained labels, on the new ones.  A rule instance's label
-    is the union of its literals' labels and constraints; inconsistent
-    unions and unions over k are dropped.  The first level that labels the
-    target gives the answer.
+    Level k adds to level k-1 the subset-minimal labels of cost exactly
+    k - offset of each symbol: one round fires every rule, then each round
+    fires only the literals whose symbol gained labels, on the new ones.  A
+    rule instance's label is the union of its literals' labels and
+    constraints; inconsistent unions and unions over the cost are dropped.
+    The goal's offset is 0, so the first level that labels the target gives
+    the answer.  A symbol's offset is the least count, over the goal rules
+    that reach it through derived literals, of the edits that the rule's
+    ground stored literals force over relations that no other live rule
+    reads.  Those edits are in no label of the symbol, so a goal label of
+    cost k holds only its labels of cost at most k - offset, all built by
+    level k.
 
     The search tries only values that fit the remaining cost (forward
     checking).  A value of a free variable that matches no stored fact and
@@ -481,13 +487,30 @@ def _label_search(
     # The first (rule, assignment) of each label of the goal, for unions.
     witnesses: dict[frozenset, tuple[int, dict[str, str]]] | None = None if readers else {}
 
-    def floor(i: int) -> int:
-        """The distinct edits that rule ``i``'s ground stored literals force."""
+    def floor(i: int, skip: Container[str] = ()) -> int:
+        """The distinct edits that rule ``i``'s ground stored literals force
+        over the relations not in ``skip``."""
         start, (ground, _), *_ = _plan(rules[i], idb, None)
-        return len({(rel, get(start)) for pos, rel, get in ground if ((rel, get(start)) in present) != pos})
+        return len(
+            {(rel, get(start)) for pos, rel, get in ground if rel not in skip and ((rel, get(start)) in present) != pos}
+        )
 
-    if budget is not None and all(floor(i) > budget for i in live if rules[i].head == boolean.answer):
+    goals = [i for i in sorted(live) if rules[i].head == boolean.answer]
+    if budget is not None and all(floor(i) > budget for i in goals):
         return None
+    # Each symbol's offset, and the offset of each live rule's head.  With
+    # no readers every live rule is a goal rule.
+    offset = {boolean.answer: 0}
+    if readers:
+        deep = {lit.relation for i in live if i not in goals for lit in rules[i].relational_literals()}
+        for i in goals:
+            least, todo = floor(i, deep), [i]
+            while todo:
+                for lit in rules[todo.pop()].relational_literals():
+                    if lit.relation in idb and offset.get(lit.relation, least + 1) > least:
+                        offset[lit.relation] = least
+                        todo.extend(j for j in live if rules[j].head == lit.relation)
+    lag = {i: offset[rules[i].head] for i in live}
     # Each (rule, first) plan of this search, looked up once, with the step
     # from which a rule instance of cost k stops at its first completion.
     # For a goal rule, every step from it on is a free slot whose stored
@@ -688,7 +711,8 @@ def _label_search(
     for k in levels:
         found: list = []
         for i in sorted(live):
-            fire(i, None, k, found)
+            if lag[i] <= k:
+                fire(i, None, k - lag[i], found)
         while found:
             delta: dict[str, _Relation] = {}
             for relation, args, label, n in found:
@@ -701,7 +725,8 @@ def _label_search(
             found = []
             for relation, view in delta.items():
                 for i, d in readers.get(relation, ()):
-                    fire(i, d, k, found, view)
+                    if lag[i] <= k:
+                        fire(i, d, k - lag[i], found, view)
         labels = by_atom.get((boolean.answer, ()))
         if labels:
             break

@@ -263,14 +263,19 @@ def random_join_free_rule(rng: random.Random, consts: tuple[str, ...] = CONSTS) 
     return Rule("ans", head, tuple(body))
 
 
-def random_datalog_program(rng: random.Random, semipositive: bool, extra_shapes: bool = False) -> Program:
+def random_datalog_program(
+    rng: random.Random, semipositive: bool, extra_shapes: bool = False, answer_edge: bool = False
+) -> Program:
     """Small fixpoint programs built from a family of safe rule shapes:
     a base rule, optional recursion (linear or nonlinear), and an answer
     rule; semi-positive variants sprinkle negated extensional atoms and
     inequalities.  ``extra_shapes`` adds, at random, ``X = c`` atoms,
-    constant arguments and a second, recursive derived symbol ``s``; it
-    draws nothing from ``rng`` when off, so existing seeds keep their
-    programs."""
+    constant arguments and a second, recursive derived symbol ``s``.
+    ``answer_edge`` gives the answer rule a literal over ``e``, the relation
+    that ``t`` reads, whose arguments are head variables (pinned by the
+    target) or constants, negated at random in semi-positive programs.
+    Both options draw nothing from ``rng`` when off, so existing seeds keep
+    their programs."""
     rules = [Rule("t", (var("X"), var("Y")), (RelLiteral("e", (var("X"), var("Y"))),))]
     if rng.random() < 0.8:
         recursive = rng.choice(
@@ -309,6 +314,9 @@ def random_datalog_program(rng: random.Random, semipositive: bool, extra_shapes:
             rules.append(Rule("s", (var("X"),), tuple(step)))
             answer_body.append(RelLiteral("s", (var(rng.choice("XY")),)))
     head = (var("X"),) if rng.random() < 0.5 else (var("X"), var("Y"))
+    if answer_edge:
+        args = tuple(rng.choice(head) if rng.random() < 0.6 else const(rng.choice(CONSTS[:3])) for _ in range(2))
+        answer_body.append(RelLiteral("e", args, not semipositive or rng.random() < 0.5))
     rules.append(Rule("ans", head, tuple(answer_body)))
     return make_program(rules, "ans", extra_schema={"e": 2, "u": 1})
 

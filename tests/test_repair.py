@@ -516,15 +516,52 @@ class TestSpDatalog:
         # The answer rule's ground literals p0(a)..p7(a) force 8 insertions,
         # so no budget below 8 can label the goal; the search stops before
         # building any level, whose labels of t grow about tenfold each.
+        # t(a,d) needs one more edit, so budget 8 is exhausted as well.
         body = ", ".join(f"p{j}(X)" for j in range(8))
         program = parse_program(
             f"t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), t(Y,Z). ans(X,Y) :- t(X,Y), !u(X), {body}. @answer ans."
         )
         instance = parse_instance("e(a,b). e(b,c). u(c).")
         started = time.perf_counter()
-        for budget in range(8):
+        for budget in range(9):
             assert ma_min_spdatalog(program, instance, ("a", "d"), budget).status == "budget_exhausted"
+        # At budgets 8 and 9, t builds only the labels that the goal can
+        # still use: those of cost at most the level minus 8.
+        result = ma_min_spdatalog(program, instance, ("a", "d"), 9)
+        expected = {Fact("e", ("a", "d"))} | {Fact(f"p{j}", ("a",)) for j in range(8)}
+        assert (result.status, result.size) == ("found", 9)
+        assert result.repair.insertions == expected and not result.repair.deletions
         assert time.perf_counter() - started < 1.0
+
+    def test_long_chain_builds_only_the_levels_the_goal_can_use(self):
+        # c(t) is missing and b(t) present, so the answer rule forces 2
+        # edits and r needs only its cost-1 labels at budget 3: the one
+        # missing edge, or a(X) on the far side of it.
+        program = parse_program("ans(X) :- r(X), !b(X), c(X). r(X) :- a(X). r(X) :- r(Y), e(Y,X). @answer ans.")
+        nodes = [f"n{j}" for j in range(40)]
+        edges = " ".join(f"e({x},{y})." for x, y in zip(nodes, nodes[1:]) if x != "n20")
+        instance = parse_instance(f"a(n0). b(n39). {edges}")
+        started = time.perf_counter()
+        result = ma_min_spdatalog(program, instance, ("n39",), 3)
+        assert time.perf_counter() - started < 2.0
+        assert (result.status, result.size) == ("found", 3)
+        assert eval_member(program, apply_update(instance, result.repair), ("n39",))
+
+    def test_goal_edits_shared_with_a_derived_label(self):
+        # e(a,t) is both the answer rule's own edit and the edge that
+        # labels r(t), so it must not count in the offset of r: a repair of
+        # size 1 exists.
+        program = parse_program("ans(X) :- r(X), e(a,X). r(X) :- a(X). r(X) :- r(Y), e(Y,X). @answer ans.")
+        result = ma_min_spdatalog(program, parse_instance("a(a)."), ("t",), 3)
+        assert (result.status, result.size) == ("found", 1)
+        assert result.repair.insertions == {Fact("e", ("a", "t"))} and not result.repair.deletions
+
+    def test_offset_is_the_least_over_the_goal_rules(self):
+        # The second answer rule forces 2 edits, the first none, so r must
+        # still be labelled at the goal's own cost.
+        program = parse_program("ans(X) :- s(X). ans(X) :- s(X), p(X), q(X). s(X) :- r(X). r(X) :- a(X). @answer ans.")
+        result = ma_min_spdatalog(program, Instance.of(), ("t",), 3)
+        assert (result.status, result.repair.insertions) == ("found", {Fact("a", ("t",))})
 
     @pytest.mark.parametrize(
         "answer, data",
@@ -608,14 +645,14 @@ class TestOracle:
             assert (oracle.status, oracle.repair) == (solver.status, solver.repair)
 
     @staticmethod
-    def compare_datalog_solvers(seed, count, budget, extra_shapes=False):
+    def compare_datalog_solvers(seed, count, budget, extra_shapes=False, answer_edge=False):
         """As above, at any budget; a positive ``no_repair`` must exhaust the
         oracle, which reports ``budget_exhausted`` over a given domain."""
         rng = random.Random(seed)
         consts = ("a", "b", "c")
         for i in range(count):
             semipositive = i % 2 == 0
-            program = random_datalog_program(rng, semipositive, extra_shapes)
+            program = random_datalog_program(rng, semipositive, extra_shapes, answer_edge)
             instance = random_datalog_instance(rng, max_facts=4, consts=consts)
             target = random_target(rng, program.arity, consts)
             if semipositive:
@@ -640,6 +677,14 @@ class TestOracle:
         """Programs with ``X = c`` atoms, constant arguments and a second
         recursive derived symbol."""
         self.compare_datalog_solvers(34, 60, 2, extra_shapes=True)
+
+    @pytest.mark.parametrize("seed, count, budget", [(37, 40, 2), (40, 18, 3)])
+    def test_matches_datalog_solvers_with_an_edge_in_the_answer_rule(self, seed, count, budget):
+        """The answer rule's ground literal over ``e`` can also be an edit
+        in a label of ``t``, so the offset of ``t`` must not count it.  The
+        oracle takes seconds on some budget-3 programs, so that run is
+        shorter."""
+        self.compare_datalog_solvers(seed, count, budget, answer_edge=True)
 
     def test_negative_budget_rejected(self):
         domain = SearchDomain.for_ucq(TRIANGLE, Instance.of(), ("1", "2", "3"))
