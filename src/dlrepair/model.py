@@ -389,8 +389,6 @@ def check_update(instance: Instance, update: Update) -> None:
         raise InvalidUpdate("insertion already present in the instance")
     if not update.deletions <= instance.facts:
         raise InvalidUpdate("deletion of a fact absent from the instance")
-    if update.insertions & update.deletions:
-        raise InvalidUpdate("fact both inserted and deleted")
 
 
 def apply_update(instance: Instance, update: Update) -> Instance:

@@ -304,21 +304,15 @@ def _enumerate_updates(
     ins_pool: Sequence[Fact], del_pool: Sequence[Fact], size: int
 ) -> Iterator[tuple[tuple[Fact, ...], tuple[Fact, ...]]]:
     """All updates of exactly this size, in canonical order: sorted
-    insertion tuples first, deletions breaking ties."""
-
-    def rec(start: int, acc: list[Fact]) -> Iterator[tuple[tuple[Fact, ...], tuple[Fact, ...]]]:
-        remaining = size - len(acc)
-        if remaining <= len(del_pool):
-            ins = tuple(acc)
-            for dels in itertools.combinations(del_pool, remaining):
-                yield ins, dels
-        if len(acc) < size:
-            for i in range(start, len(ins_pool)):
-                acc.append(ins_pool[i])
-                yield from rec(i + 1, acc)
-                acc.pop()
-
-    yield from rec(0, [])
+    insertion tuples first, deletions breaking ties: the insertion tuples
+    depth first over the pool, each followed by its deletion combinations."""
+    stack = [(0, ())]
+    while stack:
+        start, ins = stack.pop()
+        for dels in itertools.combinations(del_pool, size - len(ins)):
+            yield ins, dels
+        if len(ins) < size:
+            stack.extend((i + 1, ins + (ins_pool[i],)) for i in reversed(range(start, len(ins_pool))))
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +388,14 @@ def _label_search(
     rule instance's label is the union of its literals' labels and
     constraints; inconsistent unions and unions over the cost are dropped.
     The goal's offset is 0, so the first level that labels the target gives
-    the answer.  A symbol's offset is the least count, over the goal rules
-    that reach it through derived literals, of the edits that the rule's
-    ground stored literals force over relations that no other live rule
-    reads.  Those edits are in no label of the symbol, so a goal label of
-    cost k holds only its labels of cost at most k - offset, all built by
-    level k.
+    the answer.  No rule reads the goal, so it keeps only its least repair:
+    each goal label is ranked when first emitted, by the key of its least
+    relabelling, and the first that ranks least wins.  A symbol's offset
+    is the least count, over the goal rules that reach it through derived
+    literals, of the edits that the rule's ground stored literals force
+    over relations that no other live rule reads.  Those edits are in no
+    label of the symbol, so a goal label of cost k holds only its labels of
+    cost at most k - offset, all built by level k.
 
     The search tries only values that fit the remaining cost (forward
     checking).  A value of a free variable that matches no stored fact and
@@ -416,9 +412,9 @@ def _label_search(
     frame per entered step: its remaining options, and the label, cost and
     fresh names in use on entry.  A goal rule instance of cost k with no
     derived literal and no stored literal of a relation read both ways
-    left can only reach one label, the same ``(goal, (), label, n)`` entry
-    whatever it completes with, so such frames stop: an emission pops
-    every stopping frame on top of the stack.
+    left can only reach one label, the same whatever it completes with, so
+    such frames stop: an emission pops every stopping frame on top of the
+    stack.
 
     Fresh constants are interchangeable, so labels are stored up to
     renaming them, and a rule instance tries only the fresh constants it
@@ -432,14 +428,15 @@ def _label_search(
     values matches any fresh constant.  ``by_atom`` lists each atom's
     labels; a new label is stored unless one of them is a subset of it.  A
     round's delta holds exactly the rows stored from the round before.
+    ``store`` and ``by_atom`` hold derived symbols other than the goal.
 
     The search runs on the query specialised to the target
     (``specialize``), whose goal's ``()`` atom stands for the target.  When
     no goal rule that can fire reads a derived symbol, the query is a union
     of rules over stored facts, and the witness is an assignment of the
     rule variables that induces the repair (``repair_for_assignment``): the
-    first one, in search order, that produced the winning label, relabelled
-    like it, its other fresh constants taking the least unused names.  That
+    first one, in search order, whose label ranks least, relabelled like
+    it, its other fresh constants taking the least unused names.  That
     check replaces the engine's, so such rules need not be safe.  Otherwise
     the witness is None, the program's rules must be safe as written or
     ValueError is raised, and the engine checks the repair.  The caller
@@ -465,15 +462,16 @@ def _label_search(
         return tuple(None if v in is_fresh else v for v in values)
 
     # The rules that can fire, of the symbols that such rules for the goal
-    # read, directly or not.
+    # read, directly or not, and the whole-body plan of each rule visited.
     live: set[int] = set()
+    base: dict[int, tuple | None] = {}
     needed, todo = set(), [boolean.answer]
     while todo:
         symbol = todo.pop()
         if symbol not in needed:
             needed.add(symbol)
             for i, rule in enumerate(rules):
-                if rule.head == symbol and _plan(rule, idb, None) is not None:
+                if rule.head == symbol and base.setdefault(i, _plan(rule, idb, None)) is not None:
                     live.add(i)
                     todo.extend(lit.relation for lit in rule.relational_literals() if lit.relation in idb)
     # The (rule, derived literal) pairs that read each symbol.
@@ -484,13 +482,11 @@ def _label_search(
             readers.setdefault(relation, []).append((i, d))
     if readers and any(ungrounded_vars(rule) for rule in program.rules):
         raise ValueError("unsafe rule: a variable occurs in no positive literal")
-    # The first (rule, assignment) of each label of the goal, for unions.
-    witnesses: dict[frozenset, tuple[int, dict[str, str]]] | None = None if readers else {}
 
     def floor(i: int, skip: Container[str] = ()) -> int:
         """The distinct edits that rule ``i``'s ground stored literals force
         over the relations not in ``skip``."""
-        start, (ground, _), *_ = _plan(rules[i], idb, None)
+        start, (ground, _), *_ = base[i]
         return len(
             {(rel, get(start)) for pos, rel, get in ground if rel not in skip and ((rel, get(start)) in present) != pos}
         )
@@ -531,7 +527,7 @@ def _label_search(
         literal reading ``delta``."""
         relation_out = rules[i].head
         if (i, first) not in plans:
-            plan = _plan(rules[i], idb, first)
+            plan = base[i] if first is None else _plan(rules[i], idb, first)
             steps = plan[2]
             settle = len(steps)
             while relation_out == boolean.answer and settle and isinstance(steps[settle - 1][0], int):
@@ -604,6 +600,7 @@ def _label_search(
             return label.union(added), cost
 
         def emit(label: frozenset, u: int) -> None:
+            nonlocal best
             args = head(values)
             order = [a for a in args if a in is_fresh]
             if u:
@@ -612,7 +609,7 @@ def _label_search(
                     order.extend(a for a in c[1] if a in is_fresh)
             moved = dict.fromkeys(order)
             n = len(moved)
-            if witnesses is not None:
+            if not readers:
                 # The assignment's other fresh constants follow, so that
                 # renaming it stays one-to-one.
                 moved.update((v, None) for v in values if v in is_fresh)
@@ -621,9 +618,16 @@ def _label_search(
             if rho:
                 args = tuple(rho.get(a, a) for a in args)
                 label = frozenset((r, tuple(rho.get(a, a) for a in c), pos) for r, c, pos in label)
-            out.append((relation_out, args, label, n))
-            if witnesses is not None and label not in witnesses:
-                witnesses[label] = (i, {name: rho.get(values[s], values[s]) for name, s in variables.items()})
+            if relation_out != boolean.answer:
+                out.append((relation_out, args, label, n))
+            elif label not in ranked:
+                ranked.add(label)
+                ins = [(r, a) for r, a, positive in label if positive and (r, a) not in present]
+                dels = tuple(sorted((r, a) for r, a, positive in label if not positive and (r, a) in present))
+                key, least = _least_relabelling(ins, dels, names, is_fresh)
+                if best is None or key < best[0]:
+                    assignment = None if readers else {x: rho.get(values[s], values[s]) for x, s in variables.items()}
+                    best = key, least, i, assignment
 
         def lookup(s: int, step: tuple, label: frozenset, cost: int, u: int):
             """Yield ``(label, cost, u)`` for each row of lookup step ``s``
@@ -707,6 +711,9 @@ def _label_search(
             else:
                 stack.pop()
 
+    # The goal's least repair so far: its key, relabelling, rule and, for
+    # unions, assignment; and every goal label ranked.
+    names, best, ranked = sorted(fresh), None, set()
     levels = itertools.count() if budget is None else range(budget + 1)
     for k in levels:
         found: list = []
@@ -727,27 +734,17 @@ def _label_search(
                 for i, d in readers.get(relation, ()):
                     if lag[i] <= k:
                         fire(i, d, k - lag[i], found, view)
-        labels = by_atom.get((boolean.answer, ()))
-        if labels:
+        if best is not None:
             break
     else:
         return None
-    names = sorted(fresh)
-    best = None
-    for label in labels:
-        ins = [(r, args) for r, args, positive in label if positive and (r, args) not in present]
-        dels = tuple(sorted((r, args) for r, args, positive in label if not positive and (r, args) in present))
-        key, rho = _least_relabelling(ins, dels, names, is_fresh)
-        if best is None or key < best[0]:
-            best = key, rho, label
-    (ins, dels), rho, label = best
+    (ins, dels), rho, i, assignment = best
     update = Update.of(itertools.starmap(Fact, ins), itertools.starmap(Fact, dels))
-    if witnesses is None:
+    if assignment is None:
         # The engine re-checks the answer, independently of the labels.
         if not eval_member(program, apply_update(instance, update), target):
             raise AssertionError(f"label fixpoint returned {update}, which is not a repair")
         return update, None
-    i, assignment = witnesses[label]
     spare = iter(name for name in names if name not in rho.values())
     for _, v in sorted(assignment.items()):
         if v in is_fresh and v not in rho:

@@ -119,8 +119,41 @@ class TestRepairCommand:
         assert code == 0
         assert json.loads(oracle)["size"] == json.loads(plain)["size"]
 
+    def test_zero_arity_facts_render_bare(self, tmp_path):
+        query = tmp_path / "q.dl"
+        query.write_text("ans :- p, !q, r(X).\n")
+        data = tmp_path / "d.facts"
+        data.write_text("q.\n")
+        code, out, _ = invoke(["repair", "-q", query, "-d", data, "-t", "()", "--json"])
+        assert code == 0
+        assert '"insert": ["p", "r(_c0)"], "delete": ["q"]' in out
+
 
 SPDL_SRC = "ans(X) :- r(X), !b(X), c(X). r(X) :- a(X). r(X) :- r(Y), e(Y,X).\n"
+
+
+class TestSizeCommand:
+    @pytest.mark.parametrize(
+        "program, facts, target, extra, expected",
+        [
+            ("ans(X) :- e(X,Y), !bad(X), X != a.", "", "(a)", [], (1, "no repair\n")),
+            (
+                "ans(X) :- r(X), !b(X). r(X) :- a(X). r(X) :- r(Y), e(Y,X).",
+                "b(t).",
+                "(t)",
+                ["--budget", "1"],
+                (2, "budget exhausted\n"),
+            ),
+        ],
+        ids=["no-repair", "budget-exhausted"],
+    )
+    def test_prints_the_status_without_a_size(self, tmp_path, program, facts, target, extra, expected):
+        query = tmp_path / "q.dl"
+        query.write_text(program + "\n")
+        data = tmp_path / "d.facts"
+        data.write_text(facts + "\n")
+        code, out, _ = invoke(["size", "-q", query, "-d", data, "-t", target, *extra])
+        assert (code, out) == expected
 
 
 class TestDatalogRepairs:
@@ -201,6 +234,12 @@ class TestNegativeBudget:
             code, out, err = invoke([option[0], "-q", query, "-d", data, "-t", target, *option[1:]])
             assert (code, out) == (64, "")
             assert "expected a non-negative integer" in err
+
+    def test_not_an_integer(self, tmp_path, program, facts, target):
+        query, data = self.files(tmp_path, program, facts)
+        code, out, err = invoke(["size", "-q", query, "-d", data, "-t", target, "--budget", "x"])
+        assert (code, out) == (64, "")
+        assert "--budget: expected a non-negative integer, got 'x'" in err
 
 
 class TestDecisionCommands:

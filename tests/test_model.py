@@ -10,16 +10,21 @@ from dlrepair import (
     Instance,
     InvalidUpdate,
     NotBijective,
+    Program,
+    RelLiteral,
+    Rule,
     Update,
     active_domain,
     apply_update,
     canonical_key,
+    const,
     make_program,
     parse_program,
     rename,
     update_size,
+    var,
 )
-from dlrepair.model import invert
+from dlrepair.model import invert, validate_program
 
 
 def fact(text: str) -> Fact:
@@ -82,6 +87,13 @@ class TestRename:
     def test_tuple(self):
         assert rename(("a", "b"), {"a": "q"}) == ("q", "b")
 
+    def test_fact(self):
+        assert rename(fact("r(a,b)"), {"a": "q"}) == fact("r(q,b)")
+
+    def test_unsupported_type(self):
+        with pytest.raises(TypeError, match="cannot rename list"):
+            rename(["a"], {"a": "q"})
+
 
 class TestActiveDomain:
     def test_union_of_everything(self):
@@ -108,6 +120,42 @@ def test_make_program_rejects_head_without_rule():
     rule = Rule("ans", (var("X"),), (RelLiteral("r", (var("X"),)),))
     with pytest.raises(ValueError):
         make_program([rule], answer="missing")
+
+
+X, Y = var("X"), var("Y")
+
+
+def r(*args):
+    return RelLiteral("r", args)
+
+
+class TestValidateProgram:
+    """The checks on programs built from model values, one per branch."""
+
+    def test_no_rules(self):
+        with pytest.raises(ValueError, match="program has no rules"):
+            validate_program(Program((), "ans", {}))
+
+    def test_arity_mismatch_with_the_schema(self):
+        with pytest.raises(ArityMismatch, match="r used with arity 1, previously 2"):
+            make_program([Rule("ans", (X,), (r(X),))], extra_schema={"r": 2})
+
+    def test_constant_in_head(self):
+        with pytest.raises(ValueError, match="constant 'a' in head of ans"):
+            make_program([Rule("ans", (const("a"),), (r(X),))])
+
+    def test_negated_intensional_symbol(self):
+        rules = [Rule("ans", (X,), (r(X), RelLiteral("t", (X,), False))), Rule("t", (X,), (r(X),))]
+        with pytest.raises(ValueError, match="negated intensional symbol 't'"):
+            make_program(rules)
+
+    def test_head_variable_not_in_body(self):
+        with pytest.raises(ValueError, match="head variable 'X' not in body of ans"):
+            make_program([Rule("ans", (X,), (r(Y),))])
+
+    def test_extensional_symbol_with_a_rule(self):
+        with pytest.raises(ValueError, match="'ans' is both extensional and a rule head"):
+            make_program([Rule("ans", (X,), (r(X),))], extra_schema={"ans": 1})
 
 
 def test_rules_are_values():

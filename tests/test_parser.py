@@ -38,6 +38,10 @@ class TestParseProgram:
         assert program.arity == 1
         assert program.schema == {"R": 2}
 
+    def test_head_variable_missing_from_the_body_is_unsafe(self):
+        with pytest.raises(UnsafeRule, match="head variable X does not occur in the body"):
+            parse_program("ans(X) :- r(Y).")
+
     def test_negative_only_variable_is_unsafe(self):
         with pytest.raises(UnsafeRule):
             parse_program("ans(X) :- !R(X,X).")
@@ -118,6 +122,11 @@ TOKEN_ERRORS = [
     ('ans(X) :- r(X, "a\\"b"), s(#).', "unexpected character '#'", 1, 27),
     # End of input after a trailing comment sits at the true end of the line.
     ("ans(X) :- r(X) % no dot", "expected ',' or '.'", 1, 24),
+    ("ans(X) :- r(X). @answer (", "expected a relation name, found '('", 1, 25),
+    ("ans(X) :- r(X Y).", "expected ',' or ')'", 1, 15),
+    ('ans(X) :- r(X), "a" X.', "expected '=' or '!='", 1, 21),
+    ("ans(X) :- r(X). @foo ans.", "unknown directive @foo", 1, 18),
+    ("ans(X) :- r(X). @answer ans. @answer ans.", "duplicate @answer directive", 1, 30),
 ]
 
 

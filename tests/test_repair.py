@@ -11,6 +11,7 @@ from dlrepair import (
     Fact,
     Instance,
     NotJoinFree,
+    NotPositiveDatalog,
     NotProjectionFree,
     NotUcq,
     PartialAssignment,
@@ -37,11 +38,12 @@ from dlrepair import (
     parse_instance,
     parse_program,
     repair_for_assignment,
+    specialize,
     update_size,
     var,
 )
 from dlrepair.model import fresh_constants
-from dlrepair.repair import DEFAULT_SP_BUDGET, _least_relabelling
+from dlrepair.repair import DEFAULT_SP_BUDGET, _enumerate_updates, _least_relabelling
 from randgen import (
     planted_input,
     random_cqneg_rule,
@@ -137,6 +139,18 @@ class TestUcqSolver:
         program = parse_program("ans(X) :- p(X). ans(X) :- q(X).")
         result = ma_min_ucqneg(program, Instance.of(), ("a",))
         assert result.repair == Update.of(facts("p(a)"))
+
+    def test_many_tied_goal_labels(self):
+        # Every q(cj) gives a size-1 repair p(a,cj); the goal keeps only
+        # the least, so the 16,000 ties cost linear time.
+        program = parse_program("ans(X) :- p(X,Y), q(Y), !s(Y).")
+        instance = Instance.of(Fact("q", (f"c{j}",)) for j in range(16000))
+        started = time.perf_counter()
+        result = ma_min(program, instance, ("a",))
+        assert time.perf_counter() - started < 2.0
+        assert (result.status, result.size) == ("found", 1)
+        assert result.repair == Update.of(facts("p(a,c0)"))
+        assert result.witness_assignment == {"X": "a", "Y": "c0"}
 
 
 class TestProjectionFree:
@@ -425,6 +439,10 @@ class TestPositiveDatalog:
         result = ma_min_datalog_positive(self.TC, parse_instance("e(a,b)."), ("c", "a"))
         assert_sound(self.TC, parse_instance("e(a,b)."), ("c", "a"), result)
 
+    def test_rejects_negation(self):
+        with pytest.raises(NotPositiveDatalog, match="contains negation or inequality"):
+            ma_min_datalog_positive(parse_program("ans(X) :- e(X), !u(X)."), Instance.of(), ("a",))
+
     @pytest.mark.parametrize("solve", [ma_dec, ma_min_datalog_positive, ma_min], ids=lambda f: f.__name__)
     @pytest.mark.parametrize(
         "facts, error, complaint",
@@ -473,6 +491,18 @@ class TestGoalNamedRelation:
         oracle = oracle_ma_min(self.TC, self.RESERVED, ("a", "d"), budget=1)
         assert oracle.repair == Update.of(facts("e(a,d)"))
 
+    def test_goal_renamed_past_a_program_symbol(self):
+        # Only a library-built program can hold a rule for the reserved
+        # name, so the goal takes the next free one.
+        X = var("X")
+        rules = [
+            Rule("_goal", (X,), (RelLiteral("e", (X,)),)),
+            Rule("ans", (X,), (RelLiteral("_goal", (X,)), RelLiteral("b", (X,), False))),
+        ]
+        program = make_program(rules, "ans", validate=False)
+        assert specialize(program, ("a",)).answer == "__goal"
+        assert ma_min(program, Instance.of(), ("a",)).repair == Update.of(facts("e(a)"))
+
 
 class TestSpDatalog:
     SP = parse_program("ans(X) :- e(X,Y), !bad(X).")
@@ -489,6 +519,10 @@ class TestSpDatalog:
     def test_budget_zero_exhausted(self):
         result = ma_min_spdatalog(self.SP, parse_instance("bad(a)."), ("a",), budget=0)
         assert result.status == "budget_exhausted"
+
+    def test_negative_budget(self):
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            ma_min_spdatalog(self.SP, Instance.of(), ("a",), budget=-1)
 
     def test_rejects_negated_idb(self):
         from dlrepair import NotSemipositive, RelLiteral, Rule, var
@@ -737,6 +771,22 @@ class TestOracle:
         assert hit.size == 0
         miss = oracle_ma_min(TRIANGLE, Instance.of(), ("1", "2", "3"), domain, 0)
         assert miss.status == "budget_exhausted"
+
+
+class TestEnumerateUpdates:
+    def test_order_on_small_pools(self):
+        """Every insertion tuple of at most the size, in tuple order (a
+        shorter tuple before its extensions), each followed by its deletion
+        combinations."""
+        for n_ins, n_dels, size in itertools.product(range(5), range(4), range(5)):
+            ins_pool, del_pool = [f"i{j}" for j in range(n_ins)], [f"d{j}" for j in range(n_dels)]
+            tuples = sorted(t for m in range(size + 1) for t in itertools.combinations(range(n_ins), m))
+            expected = [
+                (tuple(ins_pool[j] for j in t), dels)
+                for t in tuples
+                for dels in itertools.combinations(del_pool, size - len(t))
+            ]
+            assert list(_enumerate_updates(ins_pool, del_pool, size)) == expected
 
 
 class TestLeastRelabelling:

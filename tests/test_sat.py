@@ -5,6 +5,7 @@ import pytest
 from dlrepair import (
     Instance,
     NotPositiveDatalog,
+    NotUcq,
     Unsupported,
     eval_answers,
     eval_member,
@@ -67,6 +68,11 @@ class TestSatUcqneg:
     def test_all_rules_unsat(self):
         program = parse_program("ans() :- r(X,X), !r(X,X). ans() :- p(X), !p(X).")
         assert not sat_ucqneg(program).satisfiable
+
+    def test_rejects_recursion(self):
+        program = parse_program("t(X,Y) :- e(X,Y). t(X,Z) :- e(X,Y), t(Y,Z). @answer t.")
+        with pytest.raises(NotUcq, match="needs a non-recursive query"):
+            sat_ucqneg(program)
 
     def test_open_rule(self):
         program = parse_program("ans(X) :- r(X,Y).")

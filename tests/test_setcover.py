@@ -77,6 +77,10 @@ class TestExtractH:
         with pytest.raises(NotARepair):
             extract_h(EXAMPLE, Update.of([Fact("p", ("b1",))]))
 
+    def test_insertion_of_a_stored_fact(self):
+        with pytest.raises(NotARepair, match="insertion already present"):
+            extract_h(EXAMPLE, Update.of([Fact("f", ("b1", "a1")), Fact("p", ("b1",))]))
+
 
 class TestGreedy:
     def test_example(self):
@@ -140,6 +144,25 @@ class TestFormat:
     def test_parse_errors(self):
         with pytest.raises(ValueError):
             parse_setcover("just words\n")
+        with pytest.raises(ValueError, match="line 2: set s2 has no elements"):
+            parse_setcover("s1: u1\ns2:\n")
+
+    def test_comment_and_blank_lines_skipped(self):
+        assert parse_setcover("# three sets\n\ns1: u1 u2\n  \ns2: u2 u3\ns3: u3\n") == EXAMPLE
+
+
+class TestInstanceChecks:
+    def test_duplicate_set_names(self):
+        with pytest.raises(ValueError, match="duplicate set names"):
+            make_instance([("s1", ["u1"]), ("s1", ["u2"])])
+
+    def test_empty_set(self):
+        with pytest.raises(ValueError, match="set s2 is empty"):
+            make_instance([("s1", ["u1"]), ("s2", [])])
+
+    def test_elements_of_an_unknown_name(self):
+        with pytest.raises(KeyError):
+            EXAMPLE.elements_of("s9")
 
 
 class TestCostTransfer:
