@@ -223,13 +223,13 @@ class _Closure:
     def term_root(self, term: Term) -> tuple[str, str]:
         return self.find(self._node(term))
 
-    def instantiate(self, terms: Iterable[Term], taken: Iterable[str]) -> dict[tuple[str, str], str]:
+    def instantiate(self, terms: Iterable[Term]) -> dict[tuple[str, str], str]:
         """A value per class: forced classes keep their constant, and the
         other classes of ``terms``, in order of first appearance, get
-        distinct fresh constants outside ``taken`` and the forced ones."""
+        distinct fresh constants other than the forced ones."""
         free = list(dict.fromkeys(r for r in map(self.term_root, terms) if r not in self.forced))
         values = dict(self.forced)
-        values.update(zip(free, fresh_constants(len(free), set(taken) | set(self.forced.values()))))
+        values.update(zip(free, fresh_constants(len(free), self.forced.values())))
         return values
 
 

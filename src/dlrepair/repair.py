@@ -10,9 +10,9 @@ placing the target tuple in the query answer.
   (``specialize``), like every solver here, and serves every fragment:
   - non-recursive queries with negated atoms, whose rules read no derived
     symbol, so one round per level labels the target; the most literals in
-    one rule bounds the search, and rules with a single atom take a
-    closed-form fast path instead; a rule without projection needs no
-    search, since its copy pinned to the target assigns every variable;
+    one rule bounds the search; a rule with a single atom needs at most two
+    levels, and a rule without projection no search, since its copy pinned
+    to the target assigns every variable;
   - positive datalog, inserting over the visible constants plus one fresh
     constant, complete by monotonicity;
   - recursive programs with negated stored atoms, stopping at the budget,
@@ -25,12 +25,11 @@ placing the target tuple in the query answer.
 All solvers break ties deterministically: among minimum-size repairs, the
 one whose (sorted insertions, sorted deletions) pair is lexicographically
 least under the canonical fact order.  The label search keeps this by
-relabelling the fresh constants of each answer onto the least fresh names,
-and the single-atom path builds the least matching fact position by
-position.  For non-recursive queries the result also carries a witness, an
-assignment of one rule's variables that induces the repair
-(``repair_for_assignment``); between witnesses of the same repair, the
-order of the search decides.
+relabelling the fresh constants of each answer onto the least fresh names.
+For non-recursive queries the result also carries a witness, an assignment
+of one rule's variables that induces the repair (``repair_for_assignment``);
+between witnesses of the same repair, the first rule in rule order wins,
+and within it the order of the search decides.
 """
 
 from __future__ import annotations
@@ -48,18 +47,14 @@ from .model import (
     Rule,
     Term,
     Update,
-    _Closure,
     active_domain,
     apply_update,
-    canonical_key,
     facts_over,
     fresh_constants,
     make_program,
-    pin,
     specialize,
     ungrounded_vars,
     update_size,
-    var,
 )
 from .sat import NotPositiveDatalog, NotUcq, ma_dec
 
@@ -173,68 +168,6 @@ def repair_for_assignment(rule: Rule, assignment: Mapping[str, str], instance: I
 # Single-rule solvers
 
 
-def _join_free(rule: Rule, instance: Instance, target: tuple[str, ...], domain: Sequence[str]):
-    cl = _Closure(pin(rule, target, rule.head))
-    if cl.conflict:
-        return None
-    beta = rule.relational_literals()[0]
-    comparisons = rule.comparisons()
-    # Free classes in order of first occurrence in the single atom, then in
-    # the comparisons.
-    terms = list(itertools.chain(beta.args, *((c.left, c.right) for c in comparisons)))
-    roots = list(dict.fromkeys(map(cl.term_root, terms)))
-
-    def holds(values: Mapping[tuple[str, str], str]) -> bool:
-        for cmp_ in comparisons:
-            lv = values.get(cl.term_root(cmp_.left))
-            rv = values.get(cl.term_root(cmp_.right))
-            if lv is not None and rv is not None and not cmp_.holds(lv, rv):
-                return False
-        return True
-
-    def least(values: dict[tuple[str, str], str]) -> dict[tuple[str, str], str] | None:
-        """Give each unvalued class, in order, the least domain value that
-        keeps the comparisons true; unused fresh constants always can."""
-        for root in roots:
-            if root not in values:
-                values[root] = min((v for v in domain if holds({**values, root: v})), default=None)
-                if values[root] is None:
-                    return None
-        return values if holds(values) else None
-
-    def assignment(values: Mapping[tuple[str, str], str]) -> dict[str, str]:
-        return {name: values[cl.term_root(var(name))] for name in rule.all_vars}
-
-    def fact(values: Mapping[tuple[str, str], str]) -> Fact:
-        return Fact(beta.relation, tuple(values[cl.term_root(t)] for t in beta.args))
-
-    if not beta.positive:
-        # A fresh value per free class keeps the negated fact out of the
-        # instance whenever any assignment can.
-        values = cl.instantiate(terms, instance.constants())
-        if not holds(values):
-            return None
-        if fact(values) not in instance.facts:
-            return Update.of(), assignment(values)
-        return Update.of((), [fact(values)]), assignment(values)
-
-    matching = (f for f in instance.facts if f.relation == beta.relation and len(f.args) == len(beta.args))
-    for stored in sorted(matching):
-        values = dict(cl.forced)
-        for t, v in zip(beta.args, stored.args):
-            if values.setdefault(cl.term_root(t), v) != v:
-                break
-        else:
-            values = least(values)
-            if values is not None:
-                return Update.of(), assignment(values)
-    # No stored fact matches, so the least matching fact is not stored.
-    values = least(dict(cl.forced))
-    if values is None:
-        return None
-    return Update.of([fact(values)]), assignment(values)
-
-
 def ma_min_projection_free(rule: Rule, instance: Instance, target: tuple[str, ...]) -> RepairResult:
     """Rules with no bound variables: pinning the head to the target assigns
     every variable, so the repair is the one that assignment induces."""
@@ -255,23 +188,15 @@ def ma_min_join_free(rule: Rule, instance: Instance, target: tuple[str, ...]) ->
 # Union solver
 
 
-def ma_min_ucqneg(
-    program: Program,
-    instance: Instance,
-    target: tuple[str, ...],
-    dispatch: bool = True,
-) -> RepairResult:
+def ma_min_ucqneg(program: Program, instance: Instance, target: tuple[str, ...]) -> RepairResult:
     """Exact minimum repair for a non-recursive query: one label search over
     its rules, at the most literals in one of them, which bounds every
     minimal repair, so a search that finds none proves there is none.
 
-    ``dispatch`` routes rules with a single atom to their closed-form
-    solver and searches only the others; disabling it searches every rule.
-    The smallest result wins, ties going to the canonically least.  The
-    witness is an assignment of one rule's variables that induces the
+    The witness is an assignment of one rule's variables that induces the
     repair (``repair_for_assignment``); between witnesses of the same
-    repair, the closed-form ones come first, in rule order, then the order
-    of the search decides.
+    repair, the first rule in rule order wins, and within it the order of
+    the search decides.
     """
     flags = classify(program)
     if not flags.is_ucq:
@@ -279,21 +204,11 @@ def ma_min_ucqneg(
     program.check_target(target)
     _check_instance(program, instance.facts)
     domain = SearchDomain.for_ucq(program, instance, target)
-    results = []
-    searched = []
-    for rule in program.rules:
-        if dispatch and len(rule.relational_literals()) == 1:
-            results.append(_join_free(rule, instance, target, domain.constants))
-        else:
-            searched.append(rule)
-    if searched:
-        budget = max(r.positive_count() + r.negative_count() for r in searched)
-        searched_program = Program(tuple(searched), program.answer, program.schema)
-        results.append(_label_search(searched_program, instance, target, domain, budget))
-    found = [res for res in results if res is not None]
-    if not found:
+    budget = max(r.positive_count() + r.negative_count() for r in program.rules)
+    res = _label_search(program, instance, target, domain, budget)
+    if res is None:
         return RepairResult.no_repair()
-    return RepairResult.found(*min(found, key=lambda res: (update_size(res[0]), canonical_key(res[0]))))
+    return RepairResult.found(*res)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +334,15 @@ def _label_search(
     Fresh constants are interchangeable, so labels are stored up to
     renaming them, and a rule instance tries only the fresh constants it
     already uses and the next unused one.  The answer is relabelled onto
-    the least fresh names in string order.
+    the least fresh names in string order.  In a goal rule, the other
+    values that no assigned slot, no constraint of the label and no stored
+    fact that a literal checked from the current step on can match hold
+    are interchangeable too, but for their order: mapping them, in order,
+    onto the least of them keeps a completion's cost and lowers its key
+    and its place in the search.  So when the domain has more visible
+    constants than steps are left, a free step tries only the first of
+    them, one per step left, and a single-atom rule visits each stored
+    fact of its relation a bounded number of times per step.
 
     The labels of a symbol are the rows of one ``engine._Relation``.  The
     label of atom ``relation(args)``, its fresh constants renamed onto the
@@ -511,12 +434,16 @@ def _label_search(
     # from which a rule instance of cost k stops at its first completion.
     # For a goal rule, every step from it on is a free slot whose stored
     # literals read no relation in ``both``, so that no completion adds to
-    # the label; other rules never stop.
+    # the label; other rules never stop.  A goal rule's plan also keeps the
+    # step of each free slot and its stored literals, latest checked first:
+    # that step, the relation, each argument's slot or constant and the
+    # step that binds it (-1: bound by the start or a lookup).
     plans: dict[tuple[int, int | None], tuple] = {}
 
-    def choices(u: int) -> Iterator[tuple[str, int]]:
-        """Values for a new variable, with the count of fresh names in use."""
-        for v in itertools.chain(fixed, fresh[:u]):
+    def choices(u: int, known: Iterable[str] = fixed) -> Iterator[tuple[str, int]]:
+        """Values for a new variable, with the count of fresh names in use:
+        the ``known`` values, then the fresh names in use and the next."""
+        for v in itertools.chain(known, fresh[:u]):
             yield v, u
         if u < len(fresh):
             yield fresh[u], u + 1
@@ -534,8 +461,20 @@ def _label_search(
                 if not both.isdisjoint(rel for _, rel, _ in steps[settle - 1][1]):
                     break
                 settle -= 1
-            plans[i, first] = plan, settle
-        (start, pre, steps, head, variables), settle = plans[i, first]
+            tails = None
+            if relation_out == boolean.answer:
+                variables = plan[4]
+                free = {step: s for s, (step, *_) in enumerate(steps) if isinstance(step, int)}
+                lits = []
+                for lit in rules[i].relational_literals():
+                    if lit.relation not in idb:
+                        args = [variables[a.name] if a.is_variable else a.name for a in lit.args]
+                        at = [free.get(x, -1) for x in args]
+                        lits.append((max(at, default=-1), lit.relation, args, at))
+                lits.sort(key=lambda lit: -lit[0])
+                tails = free, lits
+            plans[i, first] = plan, settle, tails
+        (start, pre, steps, head, variables), settle, tails = plans[i, first]
         values = list(start)
 
         def check(lits, neqs, label: frozenset, cost: int):
@@ -583,6 +522,29 @@ def _label_search(
                 else:
                     kept.append((values[slot], u))
             return kept
+
+        def spare(s: int, label: frozenset, u: int) -> Iterator[tuple[str, int]]:
+            """The choices for free step ``s`` of a goal rule: the values
+            held by an assigned slot, a constraint of ``label`` or a stored
+            fact that a literal checked from ``s`` on can match, and the
+            first of the other values, one per step left.  The values are
+            gathered until too few others are left to leave any out."""
+            free, lits = tails
+            left = len(steps) - s
+            seen = {v for x, v in enumerate(values) if free.get(x, -1) < s}
+            seen.update(a for c in label for a in c[1])
+            seen -= is_fresh
+            for at_most, relation, args, at in lits:
+                if at_most < s or len(seen) + left >= len(fixed):
+                    break
+                columns = tuple(j for j, t in enumerate(at) if t < s)
+                key = tuple(values[args[j]] if isinstance(args[j], int) else args[j] for j in columns)
+                for row in index.get(relation, _EMPTY_RELATION).lookup(columns, key):
+                    seen.update(row[j] for j, t in enumerate(at) if t >= s)
+            if len(seen) + left >= len(fixed):
+                return choices(u)
+            least = list(itertools.islice((v for v in fixed if v not in seen), left))
+            return choices(u, sorted(seen.union(least), key=rank_of))
 
         def merge(label: frozenset, cost: int, constraints: Iterable[tuple], rho: Mapping[str, str]):
             """``label`` and its cost with ``constraints`` renamed by ``rho``
@@ -682,7 +644,12 @@ def _label_search(
             if not isinstance(step, int):
                 return lookup(s, step, label, cost, u), None, lits, neqs, last, label, cost, False
             room = k - cost
-            options = narrow(need, step, label, room, u) if len(need) > room else choices(u)
+            if len(need) > room:
+                options = narrow(need, step, label, room, u)
+            elif tails and len(fixed) > len(steps) - s:
+                options = spare(s, label, u)
+            else:
+                options = choices(u)
             return iter(options), step, lits, neqs, last, label, cost, room == 0 and s >= settle
 
         # A first frame checks what is ground from the start, then one frame

@@ -66,7 +66,7 @@ def sat_cqneg(rule: Rule) -> SatResult:
     for cmp_ in rule.comparisons():
         if cmp_.op == "neq" and cl.term_root(cmp_.left) == cl.term_root(cmp_.right):
             return SatResult(False)
-    value = cl.instantiate(body_terms(rule.body), ())
+    value = cl.instantiate(body_terms(rule.body))
 
     def ground(lit: RelLiteral) -> Fact:
         return Fact(lit.relation, tuple(value[cl.term_root(t)] for t in lit.args))

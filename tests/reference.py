@@ -12,13 +12,19 @@ the reference the engine's fixpoints are compared against.
 ``least_relabelling_by_permutations`` tries every map of an update's fresh
 constants onto the least fresh names: the reference for
 ``repair._least_relabelling``.
+
+``brute_force_repair`` solves a one-rule query by trying every assignment
+of its non-head variables over the search domain and keeping the least
+repair that one induces (``repair_for_assignment``): the reference for the
+single-rule solvers.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from dlrepair.model import Comparison, Instance, Program
+from dlrepair.model import Comparison, Instance, Program, canonical_key, update_size
+from dlrepair.repair import SearchDomain, repair_for_assignment
 
 
 def reference_answers(program: Program, instance: Instance) -> dict[str, frozenset[tuple[str, ...]]]:
@@ -60,3 +66,21 @@ def least_relabelling_by_permutations(ins, dels, names, fresh):
         if key is None or k < key:
             key, rho = k, r
     return key, rho
+
+
+def brute_force_repair(program: Program, instance: Instance, target: tuple[str, ...]):
+    """Least (size, canonical key) repair over every assignment of the
+    search domain to the one rule's non-head variables, or None."""
+    (rule,) = program.rules
+    binding = {}
+    for term, value in zip(rule.head_args, target):
+        if binding.setdefault(term.name, value) != value:
+            return None
+    names = sorted(rule.bound_vars)
+    domain = SearchDomain.for_ucq(program, instance, target).constants
+    best = None
+    for values in itertools.product(domain, repeat=len(names)):
+        update = repair_for_assignment(rule, {**binding, **dict(zip(names, values))}, instance)
+        if update is not None and (best is None or (update_size(update), canonical_key(update)) < best[0]):
+            best = ((update_size(update), canonical_key(update)), update)
+    return None if best is None else best[1]

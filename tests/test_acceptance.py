@@ -54,6 +54,7 @@ from randgen import (
     random_target,
     random_ucqneg_program,
 )
+from reference import brute_force_repair
 
 TRIANGLE = parse_program("s(X,Y,Z) :- r(X,Y), r(Y,Z), !r(Z,X).")
 
@@ -66,10 +67,6 @@ def _report(criterion: int, label: str, started: float, bound: float) -> None:
 
 def _rule_bound(program) -> int:
     return max(r.positive_count() + r.negative_count() for r in program.rules)
-
-
-def _size_of(result) -> int | None:
-    return result.size if result.status == "found" else None
 
 
 # ---------------------------------------------------------------------------
@@ -148,29 +145,26 @@ def test_criterion_03_oracle_equivalence():
     for program, instance, target in criterion3_inputs():
         domain = SearchDomain.for_ucq(program, instance, target)
         oracle = oracle_ma_min(program, instance, target, domain, _rule_bound(program))
-        for dispatch in (True, False):
-            solver = ma_min_ucqneg(program, instance, target, dispatch=dispatch)
-            # Both break ties by canonical order, so the repairs themselves
-            # agree, not only their sizes; the oracle's budget bounds every
-            # minimal repair, so its exhaustion means no repair exists.
-            expected = (oracle.status, oracle.repair) if oracle.status == "found" else ("no_repair", None)
-            assert (solver.status, solver.repair) == expected, (program, instance, target, dispatch)
+        solver = ma_min_ucqneg(program, instance, target)
+        # Both break ties by canonical order, so the repairs themselves
+        # agree, not only their sizes; the oracle's budget bounds every
+        # minimal repair, so its exhaustion means no repair exists.
+        expected = (oracle.status, oracle.repair) if oracle.status == "found" else ("no_repair", None)
+        assert (solver.status, solver.repair) == expected, (program, instance, target)
         count += 1
     assert count == 300
     _report(3, "oracle equivalence on 300 inputs", started, 60)
 
 
-def test_criterion_04_fast_paths_agree_with_general_search():
+def test_criterion_04_single_rule_solvers_match_brute_force():
     started = time.perf_counter()
     for kind, rule, instance, target in criterion4_inputs():
-        program = make_program([rule], "ans", validate=False)
-        general = ma_min_ucqneg(program, instance, target, dispatch=False)
-        if kind == "projection_free":
-            fast = ma_min_projection_free(rule, instance, target)
-        else:
-            fast = ma_min_join_free(rule, instance, target)
-        assert _size_of(fast) == _size_of(general), (kind, rule, instance, target)
-    _report(4, "600 fast-path inputs", started, 60)
+        repair = brute_force_repair(make_program([rule], "ans", validate=False), instance, target)
+        expected = ("no_repair", None) if repair is None else ("found", repair)
+        solve = ma_min_projection_free if kind == "projection_free" else ma_min_join_free
+        result = solve(rule, instance, target)
+        assert (result.status, result.repair) == expected, (kind, rule, instance, target)
+    _report(4, "600 single-rule inputs against brute force", started, 60)
 
 
 def test_criterion_05_set_cover_exactness_and_strictness():

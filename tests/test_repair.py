@@ -21,7 +21,6 @@ from dlrepair import (
     SearchDomain,
     Update,
     apply_update,
-    canonical_key,
     const,
     eval_member,
     ma_bound,
@@ -39,7 +38,6 @@ from dlrepair import (
     parse_program,
     repair_for_assignment,
     specialize,
-    update_size,
     var,
 )
 from dlrepair.model import fresh_constants
@@ -54,7 +52,7 @@ from randgen import (
     random_target,
     random_ucqneg_program,
 )
-from reference import least_relabelling_by_permutations, reference_answers
+from reference import brute_force_repair, least_relabelling_by_permutations, reference_answers
 
 TRIANGLE = parse_program("s(X,Y,Z) :- r(X,Y), r(Y,Z), !r(Z,X).")
 
@@ -122,12 +120,6 @@ class TestUcqSolver:
         result = ma_min_ucqneg(TRIANGLE, parse_instance("r(1,2). r(2,3)."), ("1", "2", "3"))
         assert result.size == 0 and result.repair == Update.of()
 
-    def test_dispatch_matches_general_search(self):
-        instance = parse_instance("r(3,1).")
-        a = ma_min_ucqneg(TRIANGLE, instance, ("1", "2", "3"), dispatch=True)
-        b = ma_min_ucqneg(TRIANGLE, instance, ("1", "2", "3"), dispatch=False)
-        assert a.repair == b.repair
-
     def test_union_takes_smallest_rule(self):
         program = parse_program("ans(X) :- r(X,Y), r(Y,X). ans(X) :- p(X).")
         result = ma_min_ucqneg(program, Instance.of(), ("a",))
@@ -139,6 +131,52 @@ class TestUcqSolver:
         program = parse_program("ans(X) :- p(X). ans(X) :- q(X).")
         result = ma_min_ucqneg(program, Instance.of(), ("a",))
         assert result.repair == Update.of(facts("p(a)"))
+
+    def test_tied_witness_follows_rule_order(self):
+        # Both rules hold with an empty repair; the first rule's witness wins.
+        program = parse_program("ans :- p(X), !q(X). ans :- r(X).")
+        result = ma_min_ucqneg(program, parse_instance("p(a). r(b)."), ())
+        assert result.repair == Update.of()
+        assert result.witness_assignment == {"X": "a"}
+
+    def test_free_negated_atom_over_a_large_relation(self):
+        # A fresh value keeps !p(Y) true however many p facts are stored.
+        rule = Rule("ans", (), (RelLiteral("p", (var("Y"),), False),))
+        program = make_program([rule], "ans", validate=False)
+        instance = Instance.of(Fact("p", (f"c{j}",)) for j in range(50000))
+        started = time.perf_counter()
+        result = ma_min_ucqneg(program, instance, ())
+        assert time.perf_counter() - started < 2.0
+        assert (result.status, result.size) == ("found", 0)
+
+    @pytest.mark.parametrize(
+        "query, fact, n, insert, witness",
+        [
+            ("ans :- r(X,Y).", "v(c{j})", 2000, "r(_c0,_c0)", {"X": "_c0", "Y": "_c0"}),
+            ("ans :- r(X,Y), X != Y.", "r(c{j},c{j})", 2000, "r(_c0,_c1)", {"X": "_c0", "Y": "_c1"}),
+            ("ans :- r(X,Y,Z), X != Y.", "r(c{j},c{j},c{j})", 1000, "r(_c0,_c1,_c0)", {"X": "_c0", "Y": "_c1", "Z": "_c0"}),
+        ],
+        ids=["no-fact", "diagonal", "diagonal-arity-3"],
+    )
+    def test_free_positive_atom_over_many_constants(self, query, fact, n, insert, witness):
+        # Each level tries every stored constant at most once per free slot:
+        # the constants that no stored fact a literal can still match are
+        # interchangeable, so only the first of them are tried.
+        instance = parse_instance("".join(fact.format(j=j) + ".\n" for j in range(n)))
+        started = time.perf_counter()
+        result = ma_min_ucqneg(parse_program(query), instance, ())
+        assert time.perf_counter() - started < 2.0
+        assert result.repair == Update.of(facts(insert))
+        assert result.witness_assignment == witness
+
+    def test_interchangeable_constants_one_per_free_step(self):
+        # 1, 2 and 3 match no stored fact of r or a, so they are tried as
+        # interchangeable values; X still needs the second of them, since
+        # Y takes the first and the least repair is a(1), r(2,1).
+        program = parse_program("ans :- r(X,Y), a(Y), X != Y.")
+        result = ma_min_ucqneg(program, parse_instance("v(1). v(2). v(3)."), ())
+        assert result.repair == Update.of(facts("a(1)", "r(2,1)"))
+        assert result.witness_assignment == {"X": "2", "Y": "1"}
 
     def test_many_tied_goal_labels(self):
         # Every q(cj) gives a size-1 repair p(a,cj); the goal keeps only
@@ -183,9 +221,9 @@ class TestProjectionFree:
                 solve(rule, parse_instance("r(a). ans(a)."), ("a",))
 
     def test_every_route_returns_the_induced_repair(self):
-        """The head binding fixes every variable, so each route, dispatched
-        or not, must return exactly the repair that binding induces, with
-        the binding as witness."""
+        """The head binding fixes every variable, so each route must return
+        exactly the repair that binding induces, with the binding as
+        witness."""
         rng = random.Random(41)
         for _ in range(400):
             rule = random_projection_free_rule(rng)
@@ -199,9 +237,7 @@ class TestProjectionFree:
             update = None if binding is None else repair_for_assignment(rule, binding, instance)
             expected = ("no_repair", None, None) if update is None else ("found", update, binding)
             program = make_program([rule], "ans", validate=False)
-            results = [ma_min_projection_free(rule, instance, target)] + [
-                ma_min_ucqneg(program, instance, target, dispatch=d) for d in (True, False)
-            ]
+            results = [ma_min_projection_free(rule, instance, target), ma_min_ucqneg(program, instance, target)]
             for result in results:
                 assert (result.status, result.repair, result.witness_assignment) == expected, (rule, target)
 
@@ -274,12 +310,11 @@ class TestJoinFree:
 
     def test_least_insertion_reuses_constants(self):
         # The least matching fact repeats a value where no comparison
-        # forbids it, as the general search and the oracle do.
+        # forbids it, as the oracle does.
         program = parse_program("ans :- r(Y,X).")
         for result in (
             ma_min_join_free(program.rules[0], Instance.of(), ()),
             ma_min_ucqneg(program, Instance.of(), ()),
-            ma_min_ucqneg(program, Instance.of(), (), dispatch=False),
         ):
             assert result.repair == Update.of(facts("r(_c0,_c0)"))
             assert result.witness_assignment == {"X": "_c0", "Y": "_c0"}
@@ -293,31 +328,13 @@ class TestJoinFree:
         assert result.witness_assignment == {"X": "_c1", "Y": "_c0", "Z": "_c0"}
 
 
-def _brute_force(program, instance, target):
-    """Least (size, canonical key) over every assignment of the search
-    domain to the rule's non-head variables."""
-    (rule,) = program.rules
-    binding = {}
-    for term, value in zip(rule.head_args, target):
-        if binding.setdefault(term.name, value) != value:
-            return None
-    names = sorted(rule.bound_vars)
-    domain = SearchDomain.for_ucq(program, instance, target).constants
-    best = None
-    for values in itertools.product(domain, repeat=len(names)):
-        update = repair_for_assignment(rule, {**binding, **dict(zip(names, values))}, instance)
-        if update is not None and (best is None or (update_size(update), canonical_key(update)) < best[0]):
-            best = ((update_size(update), canonical_key(update)), update)
-    return None if best is None else best[1]
-
-
 class TestRuleSearch:
     def test_fresh_symmetry_keeps_tie_break(self):
         # Fresh constants are interchangeable, so the search tries one
         # labelling of them; the least relabelling of each leaf must still
         # win, witness included.
         program = parse_program("ans :- r(Y,X), p(X), !r(X,Y), X != Y.")
-        result = ma_min_ucqneg(program, Instance.of(), (), dispatch=False)
+        result = ma_min_ucqneg(program, Instance.of(), ())
         assert result.repair == Update.of(facts("p(_c0)", "r(_c1,_c0)"))
         assert result.witness_assignment == {"X": "_c0", "Y": "_c1"}
 
@@ -327,7 +344,7 @@ class TestRuleSearch:
         x = var("X")
         rule = Rule("ans", (), (RelLiteral("r", (x,)), RelLiteral("p", (x,)), Comparison("neq", x, const("_c0"))))
         program = make_program([rule], "ans")
-        result = ma_min_ucqneg(program, Instance.of(), (), dispatch=False)
+        result = ma_min_ucqneg(program, Instance.of(), ())
         assert result.repair == Update.of(facts("p(_c1)", "r(_c1)"))
         assert result.witness_assignment == {"X": "_c1"}
 
@@ -338,10 +355,9 @@ class TestRuleSearch:
         program = parse_program("ans :- p(X), p(X). ans :- r(c,Y), r(Y,Y), Y != b.")
         oracle = oracle_ma_min(program, Instance.of(), ())
         assert oracle.repair == Update.of(facts("p(_c0)"))
-        for dispatch in (True, False):
-            result = ma_min_ucqneg(program, Instance.of(), (), dispatch=dispatch)
-            assert result.repair == oracle.repair
-            assert result.witness_assignment == {"X": "_c0"}
+        result = ma_min_ucqneg(program, Instance.of(), ())
+        assert result.repair == oracle.repair
+        assert result.witness_assignment == {"X": "_c0"}
 
     @pytest.mark.parametrize(
         "source, facts_text, witness",
@@ -360,11 +376,10 @@ class TestRuleSearch:
         program, instance = parse_program(source), parse_instance(facts_text)
         oracle = oracle_ma_min(program, instance, (), budget=3)
         assert oracle.status == "found"
-        for dispatch in (True, False):
-            result = ma_min_ucqneg(program, instance, (), dispatch=dispatch)
-            assert result.repair == oracle.repair
-            assert result.witness_assignment == witness
-            assert repair_for_assignment(program.rules[0], witness, instance) == oracle.repair
+        result = ma_min_ucqneg(program, instance, ())
+        assert result.repair == oracle.repair
+        assert result.witness_assignment == witness
+        assert repair_for_assignment(program.rules[0], witness, instance) == oracle.repair
 
     def test_matches_brute_force_per_rule(self):
         rng = random.Random(35)
@@ -378,8 +393,8 @@ class TestRuleSearch:
             program = make_program([rule], "ans")
             instance = random_instance(rng, max_facts=6, consts=consts)
             target = random_target(rng, arity, consts)
-            expected = _brute_force(program, instance, target)
-            result = ma_min_ucqneg(program, instance, target, dispatch=False)
+            expected = brute_force_repair(program, instance, target)
+            result = ma_min_ucqneg(program, instance, target)
             assert result.repair == expected, (rule, instance, target)
             if expected is not None:
                 assert repair_for_assignment(rule, result.witness_assignment, instance) == expected
@@ -546,6 +561,17 @@ class TestSpDatalog:
         assert result.size == 1
         assert result.repair == Update.of((), facts("blocked(a)"))
 
+    def test_goal_rule_shares_an_insertion_of_a_derived_label(self):
+        # The label of t(1) inserts e(1,5), and Y = 5 reuses it.  5 matches
+        # no stored fact that the goal rule reads, so only the label makes
+        # it more than one of the interchangeable values 2..5.
+        program = parse_program("t(X) :- e(X,Z), !b(Z), X != Z. ans(X) :- t(X), e(X,Y), f(Y,W). @answer ans.")
+        instance = parse_instance("b(2). b(3). b(4). u(5).")
+        result = ma_min_spdatalog(program, instance, ("1",), budget=2)
+        assert result.repair == Update.of(facts("e(1,5)", "f(5,1)"))
+        domain = SearchDomain.for_spdatalog(program, instance, ("1",), 2)
+        assert oracle_ma_min(program, instance, ("1",), domain, 2).repair == result.repair
+
     def test_goal_rule_floor_over_the_budget(self):
         # The answer rule's ground literals p0(a)..p7(a) force 8 insertions,
         # so no budget below 8 can label the goal; the search stops before
@@ -641,17 +667,16 @@ class TestOracle:
             oracle = oracle_ma_min(program, instance, target, domain, budget)
             assert_reference_repair(program, instance, target, oracle)
             expected = (oracle.status, oracle.repair) if oracle.status == "found" else ("no_repair", None)
-            for dispatch in (True, False):
-                solver = ma_min_ucqneg(program, instance, target, dispatch=dispatch)
-                assert (solver.status, solver.repair) == expected
-                if solver.status == "found":
-                    # The witness is an assignment of one rule's variables
-                    # that induces the repair.
-                    witness = solver.witness_assignment
-                    assert any(
-                        set(witness) == rule.all_vars and repair_for_assignment(rule, witness, instance) == solver.repair
-                        for rule in program.rules
-                    ), (program, instance, target, dispatch)
+            solver = ma_min_ucqneg(program, instance, target)
+            assert (solver.status, solver.repair) == expected
+            if solver.status == "found":
+                # The witness is an assignment of one rule's variables that
+                # induces the repair.
+                witness = solver.witness_assignment
+                assert any(
+                    set(witness) == rule.all_vars and repair_for_assignment(rule, witness, instance) == solver.repair
+                    for rule in program.rules
+                ), (program, instance, target)
 
     def test_matches_datalog_solvers_on_small_inputs(self):
         """Budget 2 bounds both searches, so the semi-positive solver and the

@@ -35,6 +35,38 @@ def self_calls(tree: ast.Module, filename: str):
     yield from visit(tree, [])
 
 
+def unused_imports(tree: ast.Module, filename: str):
+    """``(file, name, line)`` for each name an import binds that the module
+    never reads.  ``__future__`` imports bind nothing."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for name, line in bound.items():
+        if name not in used:
+            yield filename, name, line
+
+
+def test_no_unused_imports():
+    """``__init__.py`` only re-exports, so it is not checked."""
+    found = []
+    for path in sorted(Path(dlrepair.__file__).parent.glob("*.py")):
+        if path.name != "__init__.py":
+            for filename, name, line in unused_imports(ast.parse(path.read_text()), path.name):
+                found.append(f"{filename}:{line} {name}")
+    assert found == []
+
+
+def test_the_check_sees_unused_imports():
+    source = "from __future__ import annotations\nimport os.path\nimport re as regex\nfrom a import b, c\n\ndef f(x: c):\n    return x\n"
+    assert [name for _, name, _ in unused_imports(ast.parse(source), "x.py")] == ["os", "regex", "b"]
+
+
 def test_no_function_calls_itself():
     """Nothing recurses with the size of its input: evaluation and the
     repair search walk explicit stacks."""
