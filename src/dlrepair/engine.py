@@ -33,8 +33,8 @@ from .model import (
     Term,
     _Closure,
     body_terms,
+    check_safe,
     specialize,
-    ungrounded_vars,
 )
 
 
@@ -128,9 +128,10 @@ def _plan(rule: Rule, joined: frozenset[str] | None = None, first: int | None = 
 
     An assignment is a list with a slot per equality class, numbered by
     first appearance in the head, then in the body.  The plan is ``(start,
-    pre, steps, head, variables)``: that list with the forced constants
-    filled in, the checks ground from the start, the steps, the head
-    tuple's reader and the slot of each variable, by name.
+    pre, steps, head, variables, bound)``: that list with the forced
+    constants filled in, the checks ground from the start, the steps, the
+    head tuple's reader, the slot of each variable, by name, and the step
+    that binds each slot (-1: the start).
 
     The positive literals over ``joined`` (None: all of them) are the
     lookups, numbered in body order.  Their steps come first, fewest
@@ -144,16 +145,16 @@ def _plan(rule: Rule, joined: frozenset[str] | None = None, first: int | None = 
 
     Each step is ``(step, checks, unequal, need)``, and ``pre`` is
     ``(checks, unequal)``.  The checks are every other relational literal,
-    as ``(positive, relation, reader)``, and ``unequal`` the slot pairs of
-    the ``!=`` atoms, each at the first step where it is ground.  A free
-    step's ``need`` groups its positive checks by relation, as
-    ``(relation, columns, pick, known, position, readers)``: the columns of
-    the group's first literal that hold other slots, the readers of those
-    columns in a fact and of their values in the assignment, a column
-    holding the free slot, and the reader of each literal of the group.
+    as ``(positive, relation, reader, args)`` with ``args`` the slot of each
+    argument, and ``unequal`` the slot pairs of the ``!=`` atoms, each at
+    the first step where it is ground.  A free step's ``need`` has an entry
+    per relation of its positive checks, read from the first such check,
+    as ``(relation, columns, pick, known, position)``: the columns that
+    hold other slots, the readers of those columns in a fact and of their
+    values in the assignment, and the first column holding the free slot.
     """
-    if joined is None and ungrounded_vars(rule):
-        raise ValueError("unsafe rule: a variable occurs in no positive literal")
+    if joined is None:
+        check_safe((rule,))
     closure = _Closure(rule)
     if closure.conflict:
         return None
@@ -207,13 +208,13 @@ def _plan(rule: Rule, joined: frozenset[str] | None = None, first: int | None = 
     # Index -1 holds the checks ground from the start.
     checks: list[list] = [[] for _ in range(len(order) + 1)]
     unequal: list[list] = [[] for _ in range(len(order) + 1)]
-    groups: dict[int, dict[str, list]] = {}
+    leads: dict[int, dict[str, tuple[int, ...]]] = {}
     for positive, relation, args in others:
         at = max((bound_at[s] for s in args), default=-1)
-        checks[at].append((positive, relation, _getter(args)))
+        checks[at].append((positive, relation, _getter(args), args))
         if positive and at >= 0 and isinstance(order[at], int):
-            groups.setdefault(at, {}).setdefault(relation, []).append(args)
-    absent = {(relation, get(start)) for positive, relation, get in checks[-1] if not positive}
+            leads.setdefault(at, {}).setdefault(relation, args)
+    absent = {(relation, get(start)) for positive, relation, get, _ in checks[-1] if not positive}
     if absent and any((rel, tuple(map(start.__getitem__, args))) in absent for pos, rel, args in literals if pos):
         return None
     for cmp_ in rule.comparisons():
@@ -223,17 +224,17 @@ def _plan(rule: Rule, joined: frozenset[str] | None = None, first: int | None = 
                 return None
             unequal[max(bound_at[a], bound_at[b])].append((a, b))
     needs: list[tuple] = [()] * len(order)
-    for at, by_relation in groups.items():
+    for at, by_relation in leads.items():
         s, need = order[at], []
-        for relation, group in by_relation.items():
-            lead = group[0]
+        for relation, lead in by_relation.items():
             columns = tuple(j for j, x in enumerate(lead) if x != s)
             known = _getter(tuple(lead[j] for j in columns))
-            need.append((relation, columns, _getter(columns), known, lead.index(s), tuple(map(_getter, group))))
+            need.append((relation, columns, _getter(columns), known, lead.index(s)))
         needs[at] = tuple(need)
     steps = tuple(zip(order, map(tuple, checks), map(tuple, unequal), needs))
     variables = {t.name: s for t, s in slot.items() if t.is_variable}
-    return start, (tuple(checks[-1]), tuple(unequal[-1])), steps, _getter(slots_of(rule.head_args)), variables
+    head, bound = _getter(slots_of(rule.head_args)), tuple(map(bound_at.get, range(len(roots))))
+    return start, (tuple(checks[-1]), tuple(unequal[-1])), steps, head, variables, bound
 
 
 def rule_solutions(
@@ -253,14 +254,14 @@ def rule_solutions(
         return
     # Every positive literal is a lookup, so the checks are negated literals; inequalities
     # ground from the start compare two forced classes, which hold distinct constants.
-    start, (pre, _), steps, head, _ = plan
-    if any(get(start) in relations.get(name, _EMPTY_RELATION).tuples for _, name, get in pre):
+    start, (pre, _), steps, head, *_ = plan
+    if any(get(start) in relations.get(name, _EMPTY_RELATION).tuples for _, name, get, _ in pre):
         return
     vals = list(start)
     levels = []
     for (k, relation, columns, key, repeats, binds), negated, unequal, _ in steps:
         rel = delta[1] if delta is not None and k == delta[0] else relations.get(relation, _EMPTY_RELATION)
-        negated = tuple((relations.get(name, _EMPTY_RELATION).tuples, get) for _, name, get in negated)
+        negated = tuple((relations.get(name, _EMPTY_RELATION).tuples, get) for _, name, get, _ in negated)
         levels.append((rel, columns, key, repeats, binds, negated, unequal))
     if not levels:
         yield head(vals)
@@ -394,8 +395,7 @@ def _member_test(
             relations = _index_instance(facts)
             return any(any(True for _ in rule_solutions(rule, relations)) for rule in boolean.rules)
         return holds
-    if any(map(ungrounded_vars, program.rules)):
-        raise ValueError("unsafe rule: a variable occurs in no positive literal")
+    check_safe(program.rules)
     return lambda facts: bool(_saturate(boolean, facts)[boolean.answer].tuples)
 
 

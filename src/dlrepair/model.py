@@ -250,6 +250,12 @@ def ungrounded_vars(rule: Rule) -> frozenset[str]:
     return frozenset(name for name in rule.all_vars if cl.term_root(var(name)) not in grounded)
 
 
+def check_safe(rules: Iterable[Rule]) -> None:
+    """Raise ValueError if a rule has a variable that ``ungrounded_vars`` finds."""
+    if any(map(ungrounded_vars, rules)):
+        raise ValueError("unsafe rule: a variable occurs in no positive literal")
+
+
 def validate_program(program: Program) -> None:
     """Check the structural invariants of a programmatically built program.
 

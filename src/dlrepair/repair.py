@@ -49,11 +49,11 @@ from .model import (
     Update,
     active_domain,
     apply_update,
+    check_safe,
     facts_over,
     fresh_constants,
     make_program,
     specialize,
-    ungrounded_vars,
     update_size,
 )
 from .sat import NotPositiveDatalog, NotUcq, ma_dec
@@ -312,16 +312,17 @@ def _label_search(
     label of the symbol, so a goal label of cost k holds only its labels of
     cost at most k - offset, all built by level k.
 
-    The search tries only values that fit the remaining cost (forward
-    checking).  A value of a free variable that matches no stored fact and
-    no insertion the label requires, in some literal of each of j relations
-    among the positive stored literals ground at its step, costs at least j
-    edits.  So when those relations outnumber the room r = k - cost, the
-    variable tries, in the usual order, only the values of the instance
-    index and of the label's insertions that leave at most r of them
-    unmatched.  With a budget, the search returns None at once when the
-    ground stored literals of every goal rule force more edits than the
-    budget.
+    The search keeps only values that fit the remaining cost (forward
+    checking): the checks of a step reject a value whose edits cost over k.
+    A free step's options only offer values.  Among the positive stored
+    literals ground at the step, a value that the first literal of each of
+    j relations reads in no stored fact and no insertion of the label costs
+    at least j edits.  So when those relations outnumber the room r = k -
+    cost, the step offers, in the usual order, only the values that the
+    first literal of one of the first r + 1 of them reads in the instance
+    index or the label's insertions.  With a budget, the search returns
+    None at once when the ground stored literals of every goal rule force
+    more edits than the budget.
 
     Each rule's plan is walked depth first over an explicit stack, with a
     frame per entered step: its remaining options, and the label, cost and
@@ -403,16 +404,15 @@ def _label_search(
         derived = [lit.relation for lit in rules[i].relational_literals() if lit.relation in idb]
         for d, relation in enumerate(derived):
             readers.setdefault(relation, []).append((i, d))
-    if readers and any(ungrounded_vars(rule) for rule in program.rules):
-        raise ValueError("unsafe rule: a variable occurs in no positive literal")
+    if readers:
+        check_safe(program.rules)
 
     def floor(i: int, skip: Container[str] = ()) -> int:
         """The distinct edits that rule ``i``'s ground stored literals force
         over the relations not in ``skip``."""
         start, (ground, _), *_ = base[i]
-        return len(
-            {(rel, get(start)) for pos, rel, get in ground if rel not in skip and ((rel, get(start)) in present) != pos}
-        )
+        facts = [(pos, (rel, get(start))) for pos, rel, get, _ in ground if rel not in skip]
+        return len({fact for pos, fact in facts if (fact in present) != pos})
 
     goals = [i for i in sorted(live) if rules[i].head == boolean.answer]
     if budget is not None and all(floor(i) > budget for i in goals):
@@ -434,10 +434,7 @@ def _label_search(
     # from which a rule instance of cost k stops at its first completion.
     # For a goal rule, every step from it on is a free slot whose stored
     # literals read no relation in ``both``, so that no completion adds to
-    # the label; other rules never stop.  A goal rule's plan also keeps the
-    # step of each free slot and its stored literals, latest checked first:
-    # that step, the relation, each argument's slot or constant and the
-    # step that binds it (-1: bound by the start or a lookup).
+    # the label; other rules never stop.
     plans: dict[tuple[int, int | None], tuple] = {}
 
     def choices(u: int, known: Iterable[str] = fixed) -> Iterator[tuple[str, int]]:
@@ -453,28 +450,17 @@ def _label_search(
         each rule instance of cost exactly k, with the ``first``-th derived
         literal reading ``delta``."""
         relation_out = rules[i].head
+        goal = relation_out == boolean.answer
         if (i, first) not in plans:
             plan = base[i] if first is None else _plan(rules[i], idb, first)
             steps = plan[2]
             settle = len(steps)
-            while relation_out == boolean.answer and settle and isinstance(steps[settle - 1][0], int):
-                if not both.isdisjoint(rel for _, rel, _ in steps[settle - 1][1]):
+            while goal and settle and isinstance(steps[settle - 1][0], int):
+                if not both.isdisjoint(rel for _, rel, _, _ in steps[settle - 1][1]):
                     break
                 settle -= 1
-            tails = None
-            if relation_out == boolean.answer:
-                variables = plan[4]
-                free = {step: s for s, (step, *_) in enumerate(steps) if isinstance(step, int)}
-                lits = []
-                for lit in rules[i].relational_literals():
-                    if lit.relation not in idb:
-                        args = [variables[a.name] if a.is_variable else a.name for a in lit.args]
-                        at = [free.get(x, -1) for x in args]
-                        lits.append((max(at, default=-1), lit.relation, args, at))
-                lits.sort(key=lambda lit: -lit[0])
-                tails = free, lits
-            plans[i, first] = plan, settle, tails
-        (start, pre, steps, head, variables), settle, tails = plans[i, first]
+            plans[i, first] = plan, settle
+        (start, pre, steps, head, variables, bound), settle = plans[i, first]
         values = list(start)
 
         def check(lits, neqs, label: frozenset, cost: int):
@@ -484,7 +470,7 @@ def _label_search(
             for a, b in neqs:
                 if values[a] == values[b]:
                     return None
-            for positive, relation, get in lits:
+            for positive, relation, get, _ in lits:
                 args = get(values)
                 edit = ((relation, args) in present) != positive
                 if (edit or relation in both) and (relation, args, positive) not in label:
@@ -494,53 +480,41 @@ def _label_search(
                     label = label | {(relation, args, positive)}
             return label, cost
 
-        def narrow(need: tuple, slot: int, label: frozenset, room: int, u: int) -> list[tuple[str, int]]:
-            """The choices for ``slot`` that leave an edit in at most ``room``
-            of the relations of ``need``: in each of the others, every
-            literal must match a stored fact or a required insertion.  So
-            each such value matches the first literal of one of the first
-            ``room + 1`` relations."""
+        def narrow(need: tuple, label: frozenset, room: int, u: int) -> list[tuple[str, int]]:
+            """The choices for a free step with more relations in ``need``
+            than ``room``, in the usual order: the values that the first
+            literal of one of the first ``room + 1`` relations reads in a
+            stored fact or an insertion of ``label``.  Any other value misses
+            those relations, so ``check`` rejects it for the cost."""
             seen = set()
-            for relation, columns, pick, known, position, _ in need[: room + 1]:
+            for relation, columns, pick, known, position in need[: room + 1]:
                 key = known(values)
                 for args in index.get(relation, _EMPTY_RELATION).lookup(columns, key):
                     seen.add(args[position])
                 for c in label:
                     if c[0] == relation and c[2] and pick(c[1]) == key:
                         seen.add(c[1][position])
-            kept = []
-            for values[slot] in sorted(seen, key=rank_of):
-                missed = 0
-                for relation, _, _, _, _, readers in need:
-                    for get in readers:
-                        args = get(values)
-                        if (relation, args) not in present and (relation, args, True) not in label:
-                            missed += 1
-                            break
-                    if missed > room:
-                        break
-                else:
-                    kept.append((values[slot], u))
-            return kept
+            return [(v, u) for v in sorted(seen, key=rank_of)]
 
         def spare(s: int, label: frozenset, u: int) -> Iterator[tuple[str, int]]:
             """The choices for free step ``s`` of a goal rule: the values
             held by an assigned slot, a constraint of ``label`` or a stored
             fact that a literal checked from ``s`` on can match, and the
-            first of the other values, one per step left.  The values are
-            gathered until too few others are left to leave any out."""
-            free, lits = tails
+            first of the other values, one per step left.  The checks are
+            read latest step first, and the values gathered until too few
+            others are left to leave any out."""
             left = len(steps) - s
-            seen = {v for x, v in enumerate(values) if free.get(x, -1) < s}
+            seen = {v for x, v in enumerate(values) if bound[x] < s}
             seen.update(a for c in label for a in c[1])
             seen -= is_fresh
-            for at_most, relation, args, at in lits:
-                if at_most < s or len(seen) + left >= len(fixed):
-                    break
-                columns = tuple(j for j, t in enumerate(at) if t < s)
-                key = tuple(values[args[j]] if isinstance(args[j], int) else args[j] for j in columns)
-                for row in index.get(relation, _EMPTY_RELATION).lookup(columns, key):
-                    seen.update(row[j] for j, t in enumerate(at) if t >= s)
+            for t in range(len(steps) - 1, s - 1, -1):
+                for _, relation, _, args in steps[t][1]:
+                    if len(seen) + left >= len(fixed):
+                        return choices(u)
+                    columns = tuple(j for j, x in enumerate(args) if bound[x] < s)
+                    key = tuple(values[args[j]] for j in columns)
+                    for row in index.get(relation, _EMPTY_RELATION).lookup(columns, key):
+                        seen.update(row[j] for j, x in enumerate(args) if bound[x] >= s)
             if len(seen) + left >= len(fixed):
                 return choices(u)
             least = list(itertools.islice((v for v in fixed if v not in seen), left))
@@ -645,8 +619,8 @@ def _label_search(
                 return lookup(s, step, label, cost, u), None, lits, neqs, last, label, cost, False
             room = k - cost
             if len(need) > room:
-                options = narrow(need, step, label, room, u)
-            elif tails and len(fixed) > len(steps) - s:
+                options = narrow(need, label, room, u)
+            elif goal and len(fixed) > len(steps) - s:
                 options = spare(s, label, u)
             else:
                 options = choices(u)

@@ -197,20 +197,26 @@ def exact_cover(cover: SetCoverInstance, cap: int = 20) -> tuple[str, ...]:
     raise AssertionError("the full collection always covers its own union")
 
 
+# The rolls ``generate`` makes before it gives up.
+_MAX_ROLLS = 1000
+
+
 def generate(seed: int, n: int, m: int, density: float) -> SetCoverInstance:
     """Random instance: each of m sets includes each of n elements with the
     given probability, re-rolled until the universe is covered and no set is
-    empty.  Deterministic per seed."""
+    empty, or ValueError after ``_MAX_ROLLS`` rolls.  Deterministic per
+    seed."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be at least 1")
     if not 0 < density <= 1:
         raise ValueError("density must be in (0, 1]")
     rng = random.Random(seed)
     elements = [f"u{i}" for i in range(1, n + 1)]
-    while True:
+    for _ in range(_MAX_ROLLS):
         sets = []
         for j in range(1, m + 1):
             members = tuple(e for e in elements if rng.random() < density)
             sets.append((f"s{j}", members))
         if all(members for _, members in sets) and set().union(*(set(ms) for _, ms in sets)) == set(elements):
             return SetCoverInstance(tuple(sets))
+    raise ValueError(f"no covering draw of n={n} elements, m={m} sets at density {density} in {_MAX_ROLLS} rolls")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -339,6 +340,15 @@ class TestSetcoverCommands:
         chosen = names.split()
         payload = json.loads(rep)
         assert len(chosen) <= payload["size"]
+
+    def test_gen_setcover_without_a_covering_draw_fails_fast(self):
+        # One roll covers 20 elements with 2 sets at density 0.1 with
+        # probability about 4e-15, so the generator gives up.
+        started = time.perf_counter()
+        code, out, err = invoke(["gen-setcover", "--seed", 1, "-n", 20, "-m", 2, "--density", 0.1])
+        assert time.perf_counter() - started < 2.0
+        assert (code, out) == (65, "")
+        assert "n=20 elements, m=2 sets at density 0.1 in 1000 rolls" in err
 
     @pytest.mark.parametrize(
         "payload, complaint",

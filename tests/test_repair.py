@@ -178,6 +178,32 @@ class TestUcqSolver:
         assert result.repair == Update.of(facts("a(1)", "r(2,1)"))
         assert result.witness_assignment == {"X": "2", "Y": "1"}
 
+    @pytest.mark.parametrize(
+        "query, facts_text, target, insert, witness",
+        [
+            ("ans :- r(Y,Y), s(Y).", "r(a,b). r(c,c). v(d).", (), ("s(c)",), {"Y": "c"}),
+            (
+                "ans(X) :- r(X,Y), r(Y,Y), s(Y).",
+                "r(a,b). r(b,a). r(c,c). v(d).",
+                ("a",),
+                ("r(a,a)", "s(a)"),
+                {"X": "a", "Y": "a"},
+            ),
+        ],
+        ids=["lead-literal", "second-literal"],
+    )
+    def test_free_slot_repeated_in_a_literal(self, query, facts_text, target, insert, witness):
+        # A free step is offered the values that the first literal of each
+        # relation reads at the slot's first position: r(a,b) offers Y=a for
+        # r(Y,Y), and Y=b for r(X,Y) at X=a.  The cost check must reject
+        # both, since r(a,a) and r(b,b) are not stored.
+        program, instance = parse_program(query), parse_instance(facts_text)
+        result = ma_min_ucqneg(program, instance, target)
+        assert result.repair == Update.of(facts(*insert))
+        assert result.witness_assignment == witness
+        oracle = oracle_ma_min(program, instance, target)
+        assert (oracle.status, oracle.repair) == (result.status, result.repair)
+
     def test_many_tied_goal_labels(self):
         # Every q(cj) gives a size-1 repair p(a,cj); the goal keeps only
         # the least, so the 16,000 ties cost linear time.
@@ -653,15 +679,26 @@ class TestOracle:
         test that the cut on a variable's values counts edits per relation."""
         self.compare_ucq_solver(36, 300, max_literals=4, max_vars=3, repeat=0.5)
 
+    def test_matches_ucq_solver_with_interchangeable_constants(self):
+        """Digit constants sort before the fresh names, and the constants of
+        unrelated ``u`` facts match no literal, so a goal rule's free step
+        tries only the first of the values that nothing left can match."""
+        self.compare_ucq_solver(38, 200, consts=("1", "2"), unrelated=5)
+
     @staticmethod
-    def compare_ucq_solver(seed, count, max_literals=3, max_vars=2, repeat=0.0):
+    def compare_ucq_solver(seed, count, max_literals=3, max_vars=2, repeat=0.0, consts=("a", "b"), unrelated=0):
+        """``unrelated``: up to that many facts ``u(k)``, k from 3 on, join
+        the instance."""
         rng = random.Random(seed)
         for _ in range(count):
             program = random_ucqneg_program(
-                rng, max_rules=2, max_literals=max_literals, max_vars=max_vars, consts=("a", "b"), repeat=repeat
+                rng, max_rules=2, max_literals=max_literals, max_vars=max_vars, consts=consts, repeat=repeat
             )
-            instance = random_instance(rng, max_facts=4, consts=("a", "b"))
-            target = random_target(rng, program.arity, ("a", "b"))
+            instance = random_instance(rng, max_facts=4, consts=consts)
+            if unrelated:
+                extra = {Fact("u", (str(k),)) for k in range(3, 3 + rng.randint(0, unrelated))}
+                instance = Instance(instance.facts | extra)
+            target = random_target(rng, program.arity, consts)
             domain = SearchDomain.for_ucq(program, instance, target)
             budget = max(r.positive_count() + r.negative_count() for r in program.rules)
             oracle = oracle_ma_min(program, instance, target, domain, budget)
