@@ -330,8 +330,22 @@ def specialize(program: Program, target: tuple[str, ...]) -> Program:
     answer rule pinned to the target (``pin``) for a 0-ary goal symbol.  The
     goal's name starts with ``_``, which the parser reserves, and is no
     symbol of the program.  The original answer rules are kept only when
-    some rule body reads the answer symbol."""
+    some rule body reads the answer symbol.
+
+    Memoised by everything it reads (rules, answer, schema and target):
+    equal inputs get the same ``Program`` and the same ``Rule`` objects,
+    which are shared between callers and must not be mutated.  The target's
+    length is checked on every call."""
     program.check_target(target)
+    return _specialize(program.rules, program.answer, tuple(program.schema.items()), tuple(target))
+
+
+# Bounded, since a long-lived process may ask about many distinct targets.
+@functools.lru_cache(maxsize=1024)
+def _specialize(
+    rules: tuple[Rule, ...], answer: str, schema: tuple[tuple[str, int], ...], target: tuple[str, ...]
+) -> Program:
+    program = Program(rules, answer, dict(schema))
     goal = "_goal"
     while goal in program.arities:
         goal = "_" + goal

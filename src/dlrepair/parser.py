@@ -24,8 +24,9 @@ variables, so parsed rules always satisfy the model invariants.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     ArityMismatch,
@@ -74,8 +75,7 @@ class VariableInFact(SourceError):
     """A fact statement contains a variable."""
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -221,7 +221,13 @@ def _desugar_head(terms: list[Term], used: set[str]) -> tuple[tuple[Term, ...], 
     return tuple(head), extra
 
 
+# Bounded, since a long-lived process may parse many distinct queries.
+@functools.lru_cache(maxsize=256)
 def parse_program(text: str) -> Program:
+    """The program that ``text`` states, memoised by the text: equal texts
+    get the same ``Program`` and the same ``Rule`` objects, so the caches
+    keyed by rules hit by identity.  The result is shared between callers
+    and must not be mutated.  A text that raises is not remembered."""
     p = _Parser(text)
     rules: list[Rule] = []
     rule_tokens: list[tuple[_Token, list[tuple[RelLiteral, _Token]]]] = []

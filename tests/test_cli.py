@@ -10,8 +10,11 @@ import pytest
 
 import dlrepair
 import pool_digest
-from dlrepair import apply_update, eval_member, parse_fact, parse_instance, parse_program, Update
+from dlrepair import apply_update, eval_member, parse_fact, parse_instance, parse_program, Rule, Update
+from dlrepair.classify import _classify
 from dlrepair.cli import run
+from dlrepair.engine import _plan
+from dlrepair.model import _specialize, ungrounded_vars
 
 TRIANGLE_SRC = "s(X,Y,Z) :- r(X,Y), r(Y,Z), !r(Z,X).\n"
 
@@ -504,6 +507,17 @@ class TestOutputIsProcessIndependent:
         assert first == second
 
 
+def test_query_rewritten_in_place_is_read_again(tmp_path):
+    """The query memo is keyed by the text, not by the path."""
+    query, data = tmp_path / "q.dl", tmp_path / "d.facts"
+    data.write_text("r(a).\n")
+    argv = ["eval", "-q", query, "-d", data, "-t", "(a)"]
+    query.write_text("ans(X) :- r(X).\n")
+    assert invoke(argv) == (0, "true\n", "")
+    query.write_text("ans(X) :- r(X), X != a.\n")
+    assert invoke(argv) == (1, "false\n", "")
+
+
 class TestBenchmarkPools:
     """Exit codes and stdout of the first 40 seed-1 requests of each
     benchmark workload, against the digest recorded in
@@ -512,6 +526,37 @@ class TestBenchmarkPools:
     def test_first_requests_match_the_recorded_digest(self):
         expected = (Path(__file__).parent / "pool_digest_seed1.txt").read_text().splitlines()
         assert list(pool_digest.digest_lines(pool_digest.WORKLOADS, 1, 40)) == expected
+
+    def test_a_second_pass_in_the_same_process_matches_too(self):
+        """The memoised query steps keep no state between requests."""
+        expected = (Path(__file__).parent / "pool_digest_seed1.txt").read_text().splitlines()
+        for _ in range(2):
+            assert list(pool_digest.digest_lines(pool_digest.WORKLOADS, 1, 40)) == expected
+
+
+def test_a_repeated_request_compares_no_rules(tmp_path, monkeypatch):
+    """After one warm-up request, an identical request gets the same
+    parsed and specialised rules, so every cache keyed by a rule hits
+    by identity and ``Rule.__eq__`` is never called.  The caches start
+    empty, as in a new process: a cache keeps the first of equal keys,
+    and other tests parse texts whose rules equal the query's."""
+    for cache in (parse_program, _specialize, ungrounded_vars, _plan, _classify):
+        cache.cache_clear()
+    _, argvs = pool_digest.run.write_inputs("spdl", 1, 1, tmp_path)
+    assert argvs[0][0] == "repair"
+    calls = []
+    compare = Rule.__eq__
+
+    def counting(self, other):
+        calls.append(other)
+        return compare(self, other)
+
+    monkeypatch.setattr(Rule, "__eq__", counting)
+    assert Rule("ans", (), ()) == Rule("ans", (), ()) and len(calls) == 1
+    first = invoke(argvs[0])
+    calls.clear()
+    assert invoke(argvs[0]) == first
+    assert calls == []
 
 
 def test_module_entry_point(triangle):

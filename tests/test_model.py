@@ -21,6 +21,7 @@ from dlrepair import (
     make_program,
     parse_program,
     rename,
+    specialize,
     update_size,
     var,
 )
@@ -156,6 +157,34 @@ class TestValidateProgram:
     def test_extensional_symbol_with_a_rule(self):
         with pytest.raises(ValueError, match="'ans' is both extensional and a rule head"):
             make_program([Rule("ans", (X,), (r(X),))], extra_schema={"ans": 1})
+
+
+class TestSpecializeMemo:
+    """``specialize`` is memoised by the rules, the answer, the schema and
+    the target; the target's length is checked on every call."""
+
+    PROGRAM = parse_program("ans(X) :- r(X,Y), !s(Y).")
+
+    def test_distinct_targets_get_distinct_goals(self):
+        a, b = specialize(self.PROGRAM, ("a",)), specialize(self.PROGRAM, ("b",))
+        assert a is not b and a.rules != b.rules
+        assert specialize(self.PROGRAM, ("a",)) is a
+        assert specialize(self.PROGRAM, ("b",)) is b
+        assert specialize(self.PROGRAM, ["a"]) is a
+
+    def test_the_schema_is_part_of_the_key(self):
+        rules = [Rule("ans", (X,), (r(X),))]
+        plain, wider = make_program(rules), make_program(rules, extra_schema={"t": 3})
+        assert plain.rules == wider.rules
+        assert specialize(plain, ("a",)).schema == {"r": 1}
+        assert specialize(wider, ("a",)).schema == {"t": 3, "r": 1}
+        assert specialize(plain, ("a",)) is not specialize(wider, ("a",))
+
+    def test_wrong_length_target_raises_after_a_hit(self):
+        assert specialize(self.PROGRAM, ("a",)) is specialize(self.PROGRAM, ("a",))
+        for _ in range(2):
+            with pytest.raises(ArityMismatch, match="target has length 2, answer arity is 1"):
+                specialize(self.PROGRAM, ("a", "b"))
 
 
 def test_rules_are_values():

@@ -15,6 +15,7 @@ from dlrepair import (
     UnsafeRule,
     VariableInFact,
     const,
+    ma_min,
     make_program,
     parse_fact,
     parse_instance,
@@ -110,6 +111,38 @@ class TestParseProgram:
         program = parse_program("ans() :- marker.")
         assert program.arity == 0
         assert program.schema == {"marker": 0}
+
+
+class TestParseProgramMemo:
+    """``parse_program`` is memoised by the text, so a long-lived process
+    parses each distinct query once."""
+
+    TEXT = "ans(X) :- e(X,Y), !b(Y)."
+
+    def test_equal_text_gives_the_same_program(self):
+        first = parse_program(self.TEXT)
+        again = self.TEXT[:4] + self.TEXT[4:]
+        assert again is not self.TEXT
+        assert parse_program(again) is first
+
+    def test_whitespace_variant_solves_identically(self):
+        program = parse_program(self.TEXT)
+        spaced = parse_program("ans(X)  :-\n  e(X, Y),\n  !b(Y) .\n")
+        assert spaced is not program and spaced == program
+        instance = parse_instance("e(a,b). b(b). e(b,c).")
+        for target in (("a",), ("b",), ("c",)):
+            assert ma_min(spaced, instance, target) == ma_min(program, instance, target)
+
+    @pytest.mark.parametrize(
+        "text, error", [("ans(X) :- r(X) ; s(X).", SourceError), ("ans(X) :- r(X,Y), r(X).", ArityMismatch)]
+    )
+    def test_bad_text_raises_on_every_call(self, text, error):
+        messages = []
+        for _ in range(3):
+            with pytest.raises(error) as err:
+                parse_program(text)
+            messages.append(str(err.value))
+        assert len(set(messages)) == 1
 
 
 TOKEN_ERRORS = [
