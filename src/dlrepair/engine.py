@@ -300,6 +300,20 @@ def _datalog_guard(program: Program) -> None:
                 raise NotDatalog(f"negated intensional symbol {lit.relation}")
 
 
+# Bounded, since a long-lived process may evaluate many distinct programs.
+@functools.lru_cache(maxsize=1024)
+def _readers(rules: tuple[Rule, ...]) -> dict[str, list[tuple[Rule, int]]]:
+    """The (rule, lookup number) pairs that read each symbol, counting each
+    rule's positive literals in body order.  The value is shared and never
+    mutated.  New tuples only ever belong to derived symbols, so a reader
+    of a stored symbol is never looked up."""
+    readers: dict[str, list[tuple[Rule, int]]] = {}
+    for rule in rules:
+        for k, lit in enumerate(lit for lit in rule.relational_literals() if lit.positive):
+            readers.setdefault(lit.relation, []).append((rule, k))
+    return readers
+
+
 def _saturate(program: Program, facts: Iterable[Fact]) -> dict[str, _Relation]:
     """The relations of ``facts``, with those ``program`` derives (replacing
     any stored ones) grown from empty to their least fixpoint.
@@ -311,12 +325,7 @@ def _saturate(program: Program, facts: Iterable[Fact]) -> dict[str, _Relation]:
     """
     relations = _index_instance(facts)
     relations.update((sym, _Relation()) for sym in program.idb)
-    # New tuples only ever belong to derived symbols, so a reader of a
-    # stored symbol is never looked up.
-    readers: dict[str, list[tuple[Rule, int]]] = {}
-    for rule in program.rules:
-        for k, lit in enumerate(lit for lit in rule.relational_literals() if lit.positive):
-            readers.setdefault(lit.relation, []).append((rule, k))
+    readers = _readers(program.rules)
 
     def fire(rule: Rule, new: dict[str, set[tuple[str, ...]]], delta=None) -> None:
         seen = relations[rule.head].tuples

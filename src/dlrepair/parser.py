@@ -221,13 +221,22 @@ def _desugar_head(terms: list[Term], used: set[str]) -> tuple[tuple[Term, ...], 
     return tuple(head), extra
 
 
+# Bounded, like the caches keyed by rules that it feeds.
+@functools.lru_cache(maxsize=4096)
+def _intern(rule: Rule) -> Rule:
+    """The first parsed rule equal to ``rule``: equal rules become one
+    object, whichever text they came from."""
+    return rule
+
+
 # Bounded, since a long-lived process may parse many distinct queries.
 @functools.lru_cache(maxsize=256)
 def parse_program(text: str) -> Program:
     """The program that ``text`` states, memoised by the text: equal texts
-    get the same ``Program`` and the same ``Rule`` objects, so the caches
-    keyed by rules hit by identity.  The result is shared between callers
-    and must not be mutated.  A text that raises is not remembered."""
+    get the same ``Program``, and equal rules, whichever text states them,
+    the same ``Rule`` object (``_intern``), so the caches keyed by rules
+    hit by identity.  The result is shared between callers and must not be
+    mutated.  A text that raises is not remembered."""
     p = _Parser(text)
     rules: list[Rule] = []
     rule_tokens: list[tuple[_Token, list[tuple[RelLiteral, _Token]]]] = []
@@ -275,7 +284,7 @@ def parse_program(text: str) -> Program:
         used_vars.update(t.name for t in body_terms(body) if t.is_variable)
         head_args, extra = _desugar_head(head_terms, used_vars)
         see_arity(head_name, len(head_args), head_tok)
-        rule = Rule(head_name, head_args, tuple(extra) + tuple(body))
+        rule = _intern(Rule(head_name, head_args, tuple(extra) + tuple(body)))
         rules.append(rule)
         rule_tokens.append((head_tok, rel_spans))
 
@@ -319,7 +328,37 @@ def _fact(p: _Parser) -> tuple[Fact, _Token]:
     return Fact(name, tuple(t.name for t in terms)), name_tok
 
 
+# One fact per line as ``render_instance`` writes it over bare constants,
+# or any other character, which sends the text to the token parser.
+_FACT_LINE_RE = re.compile(
+    r"([A-Za-z0-9][A-Za-z0-9_]*)(?:\(((?:[a-z0-9][A-Za-z0-9_]*(?:,[a-z0-9][A-Za-z0-9_]*)*)?)\))?\.\n|([\s\S])"
+)
+
+
+def _scan_facts(text: str) -> Instance | None:
+    """The instance of a text made only of ``rel(c1,...,ck).`` lines, with
+    bare constants and each relation at one arity, else None."""
+    facts: set[Fact] = set()
+    arities: dict[str, int] = {}
+    for relation, args, other in _FACT_LINE_RE.findall(text):
+        if other:
+            return None
+        values = tuple(args.split(",")) if args else ()
+        if arities.setdefault(relation, len(values)) != len(values):
+            return None
+        facts.add(Fact(relation, values))
+    return Instance(frozenset(facts))
+
+
 def parse_instance(text: str) -> Instance:
+    """The facts that ``text`` states.  A text in the strict subset that
+    ``render_instance`` writes (one ``rel(c1,...,ck).`` per line, ``rel.``
+    at arity 0, bare constants, a newline after each line, one arity per
+    relation) is read by one regular expression; any other text, and every
+    error, goes through the token parser, which gives the same instance."""
+    scanned = _scan_facts(text)
+    if scanned is not None:
+        return scanned
     p = _Parser(text)
     facts: set[Fact] = set()
     arities: dict[str, int] = {}

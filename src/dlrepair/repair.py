@@ -34,6 +34,7 @@ and within it the order of the search decides.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Mapping, Sequence
@@ -282,6 +283,61 @@ def _least_relabelling(
     return (tuple(key), dels), {a: rho[a] for a in moved}
 
 
+# Bounded, since a long-lived process may search many distinct queries.
+@functools.lru_cache(maxsize=1024)
+def _prepare(written: tuple[Rule, ...], rules: tuple[Rule, ...], answer: str) -> tuple:
+    """What ``_label_search`` reads of the rules alone, for the program's
+    rules as ``written`` and the ``rules`` of its query specialised to a
+    target with goal ``answer``: ``(idb, both, live, base, readers, goals,
+    deep, plans)``.  The value is shared between searches and never
+    mutated.
+
+    ``live`` lists the rules that can fire, of the symbols that such rules
+    for the goal read, directly or not; ``base`` has each one's whole-body
+    plan.  ``both`` holds the stored relations read both ways by a rule as
+    written (a pinned copy that can never fire keeps no literal).
+    ``readers`` lists the (rule, derived literal) pairs that read each
+    symbol, ``goals`` the live goal rules, and ``deep`` the relations that
+    live non-goal rules read.  ``plans`` maps every (rule, first) pair of
+    the search to its plan and the step from which a rule instance of cost
+    k stops at its first completion.  For a goal rule, every step from it
+    on is a free slot whose stored literals read no relation in ``both``,
+    so that no completion adds to the label; other rules never stop."""
+    idb = frozenset(r.head for r in rules)
+    stored = [lit for r in written for lit in r.relational_literals() if lit.relation not in idb]
+    both = {lit.relation for lit in stored if lit.positive} & {lit.relation for lit in stored if not lit.positive}
+    fires: set[int] = set()
+    base: dict[int, tuple | None] = {}
+    needed, todo = set(), [answer]
+    while todo:
+        symbol = todo.pop()
+        if symbol not in needed:
+            needed.add(symbol)
+            for i, rule in enumerate(rules):
+                if rule.head == symbol and base.setdefault(i, _plan(rule, idb, None)) is not None:
+                    fires.add(i)
+                    todo.extend(lit.relation for lit in rule.relational_literals() if lit.relation in idb)
+    live = sorted(fires)
+    readers: dict[str, list[tuple[int, int]]] = {}
+    plans: dict[tuple[int, int | None], tuple] = {}
+    for i in live:
+        derived = [lit.relation for lit in rules[i].relational_literals() if lit.relation in idb]
+        for d, relation in enumerate(derived):
+            readers.setdefault(relation, []).append((i, d))
+        for first in (None, *range(len(derived))):
+            plan = base[i] if first is None else _plan(rules[i], idb, first)
+            steps = plan[2]
+            settle = len(steps)
+            while rules[i].head == answer and settle and isinstance(steps[settle - 1][0], int):
+                if not both.isdisjoint(rel for _, rel, _, _ in steps[settle - 1][1]):
+                    break
+                settle -= 1
+            plans[i, first] = plan, settle
+    goals = [i for i in live if rules[i].head == answer]
+    deep = {lit.relation for i in live if i not in goals for lit in rules[i].relational_literals()}
+    return idb, both, live, base, readers, goals, deep, plans
+
+
 def _label_search(
     program: Program, instance: Instance, target: tuple[str, ...], domain: SearchDomain, budget: int | None
 ) -> tuple[Update, dict[str, str] | None] | None:
@@ -365,14 +421,21 @@ def _label_search(
     the witness is None, the program's rules must be safe as written or
     ValueError is raised, and the engine checks the repair.  The caller
     checks the instance.
+
+    What reads the rules alone is prepared once per specialised query
+    (``_prepare``): the derived symbols, the relations read both ways, the
+    live rules with their plans and stopping steps, the readers of each
+    symbol, the goal rules and the relations non-goal rules read.  What
+    reads the instance or the domain is built per search: the stored
+    facts and their index, the fresh and fixed values and their ranks, the
+    floors, the offsets and each rule's lag.
     """
     boolean = specialize(program, target)
     rules = boolean.rules
+    idb, both, live, base, readers, goals, deep, plans = _prepare(program.rules, rules, boolean.answer)
+    if readers:
+        check_safe(program.rules)
     present = {(f.relation, f.args) for f in instance.facts}
-    idb = boolean.idb
-    # The rules as written: a pinned copy that can never fire keeps no literal.
-    stored = [lit for r in program.rules for lit in r.relational_literals() if lit.relation not in idb]
-    both = {lit.relation for lit in stored if lit.positive} & {lit.relation for lit in stored if not lit.positive}
     is_fresh = frozenset(domain.constants) - active_domain(program, instance, target)
     fresh = [c for c in domain.constants if c in is_fresh]
     fixed = [c for c in domain.constants if c not in is_fresh]
@@ -385,28 +448,6 @@ def _label_search(
     def wild(values: Iterable[str]) -> tuple:
         return tuple(None if v in is_fresh else v for v in values)
 
-    # The rules that can fire, of the symbols that such rules for the goal
-    # read, directly or not, and the whole-body plan of each rule visited.
-    live: set[int] = set()
-    base: dict[int, tuple | None] = {}
-    needed, todo = set(), [boolean.answer]
-    while todo:
-        symbol = todo.pop()
-        if symbol not in needed:
-            needed.add(symbol)
-            for i, rule in enumerate(rules):
-                if rule.head == symbol and base.setdefault(i, _plan(rule, idb, None)) is not None:
-                    live.add(i)
-                    todo.extend(lit.relation for lit in rule.relational_literals() if lit.relation in idb)
-    # The (rule, derived literal) pairs that read each symbol.
-    readers: dict[str, list[tuple[int, int]]] = {}
-    for i in sorted(live):
-        derived = [lit.relation for lit in rules[i].relational_literals() if lit.relation in idb]
-        for d, relation in enumerate(derived):
-            readers.setdefault(relation, []).append((i, d))
-    if readers:
-        check_safe(program.rules)
-
     def floor(i: int, skip: Container[str] = ()) -> int:
         """The distinct edits that rule ``i``'s ground stored literals force
         over the relations not in ``skip``."""
@@ -414,14 +455,12 @@ def _label_search(
         facts = [(pos, (rel, get(start))) for pos, rel, get, _ in ground if rel not in skip]
         return len({fact for pos, fact in facts if (fact in present) != pos})
 
-    goals = [i for i in sorted(live) if rules[i].head == boolean.answer]
     if budget is not None and all(floor(i) > budget for i in goals):
         return None
     # Each symbol's offset, and the offset of each live rule's head.  With
     # no readers every live rule is a goal rule.
     offset = {boolean.answer: 0}
     if readers:
-        deep = {lit.relation for i in live if i not in goals for lit in rules[i].relational_literals()}
         for i in goals:
             least, todo = floor(i, deep), [i]
             while todo:
@@ -430,12 +469,6 @@ def _label_search(
                         offset[lit.relation] = least
                         todo.extend(j for j in live if rules[j].head == lit.relation)
     lag = {i: offset[rules[i].head] for i in live}
-    # Each (rule, first) plan of this search, looked up once, with the step
-    # from which a rule instance of cost k stops at its first completion.
-    # For a goal rule, every step from it on is a free slot whose stored
-    # literals read no relation in ``both``, so that no completion adds to
-    # the label; other rules never stop.
-    plans: dict[tuple[int, int | None], tuple] = {}
 
     def choices(u: int, known: Iterable[str] = fixed) -> Iterator[tuple[str, int]]:
         """Values for a new variable, with the count of fresh names in use:
@@ -451,15 +484,6 @@ def _label_search(
         literal reading ``delta``."""
         relation_out = rules[i].head
         goal = relation_out == boolean.answer
-        if (i, first) not in plans:
-            plan = base[i] if first is None else _plan(rules[i], idb, first)
-            steps = plan[2]
-            settle = len(steps)
-            while goal and settle and isinstance(steps[settle - 1][0], int):
-                if not both.isdisjoint(rel for _, rel, _, _ in steps[settle - 1][1]):
-                    break
-                settle -= 1
-            plans[i, first] = plan, settle
         (start, pre, steps, head, variables, bound), settle = plans[i, first]
         values = list(start)
 
@@ -525,7 +549,8 @@ def _label_search(
             added, or None if that is inconsistent or costs over k."""
             added = []
             for relation, args, positive in constraints:
-                args = tuple(rho.get(a, a) for a in args)
+                if rho:
+                    args = tuple(rho.get(a, a) for a in args)
                 if (relation, args, positive) not in label:
                     if (relation, args, not positive) in label:
                         return None
@@ -565,46 +590,60 @@ def _label_search(
                     assignment = None if readers else {x: rho.get(values[s], values[s]) for x, s in variables.items()}
                     best = key, least, i, assignment
 
+        def renamings(args: tuple, child: frozenset, n: int, columns: tuple, bound: tuple, label, cost, u):
+            """Yield ``(args, r, u)`` for each map of a row's ``n`` fresh
+            names that agrees with the ``bound`` values at ``columns`` and
+            sends the others onto the fresh names in use or new ones: the
+            row's args renamed, and ``merge``'s result for its label
+            ``child``.  The constraints of the label are merged as soon as
+            they are complete, so an inconsistent or too costly map is cut
+            short."""
+            rho: dict[str, str] = {}
+            if any(
+                args[c] in is_fresh and rho.setdefault(args[c], v) != v for c, v in zip(columns, bound)
+            ) or len(set(rho.values())) < len(rho):
+                return
+            rest = [f for f in fresh[:n] if f not in rho]
+            at = {x: m + 1 for m, x in enumerate(rest)}
+            # groups[m] holds the constraints complete once rest[:m] are mapped.
+            groups: list[list] = [[] for _ in range(len(rest) + 1)]
+            for con in child:
+                groups[max((at.get(a, 0) for a in con[1]), default=0)].append(con)
+            # Depth first over the maps, children pushed in reverse.
+            todo = [(0, rho, u, label, cost)]
+            while todo:
+                m, full, nu, joined, c = todo.pop()
+                r = merge(joined, c, groups[m], full)
+                if r is None:
+                    continue
+                if m < len(rest):
+                    taken = set(full.values())
+                    ys = [(y, nu) for y in fresh[:nu] if y not in taken]
+                    if nu < len(fresh):
+                        ys.append((fresh[nu], nu + 1))
+                    todo.extend((m + 1, {**full, rest[m]: y}, v, *r) for y, v in reversed(ys))
+                    continue
+                yield tuple(full.get(a, a) for a in args), r, nu
+
         def lookup(s: int, step: tuple, label: frozenset, cost: int, u: int):
             """Yield ``(label, cost, u)`` for each row of lookup step ``s``
-            that matches, bound into the slots, with each map of the row's
-            other fresh constants onto the fresh names in use or new ones.
-            The constraints of the row's label are merged as soon as they
-            are complete, so an inconsistent or too costly map is cut
-            short."""
+            that matches, bound into the slots.  A row without fresh names
+            merges its label once; any other is joined under each of its
+            ``renamings``."""
             _, relation, columns, key, repeats, binds = step
             source = delta if s == 0 and delta is not None else store.get(relation, _EMPTY_RELATION)
             bound = key(values)
             for row in source.lookup(columns, wild(bound)):
                 args, child, n = row[-1]
-                rho: dict[str, str] = {}
-                if any(
-                    args[c] in is_fresh and rho.setdefault(args[c], v) != v for c, v in zip(columns, bound)
-                ) or len(set(rho.values())) < len(rho):
-                    continue
-                rest = [f for f in fresh[:n] if f not in rho]
-                at = {x: m + 1 for m, x in enumerate(rest)}
-                # groups[m] holds the constraints complete once rest[:m] are mapped.
-                groups: list[list] = [[] for _ in range(len(rest) + 1)]
-                for con in child:
-                    groups[max((at.get(a, 0) for a in con[1]), default=0)].append(con)
-                # Depth first over the maps, children pushed in reverse.
-                todo = [(0, rho, u, label, cost)]
-                while todo:
-                    m, full, nu, joined, c = todo.pop()
-                    r = merge(joined, c, groups[m], full)
-                    if r is None:
-                        continue
-                    if m < len(rest):
-                        taken = set(full.values())
-                        ys = [(y, nu) for y in fresh[:nu] if y not in taken]
-                        if nu < len(fresh):
-                            ys.append((fresh[nu], nu + 1))
-                        todo.extend((m + 1, {**full, rest[m]: y}, v, *r) for y, v in reversed(ys))
-                        continue
+                if n:
+                    joins = renamings(args, child, n, columns, bound, label, cost, u)
+                else:
+                    r = merge(label, cost, child, {})
+                    joins = () if r is None else ((args, r, u),)
+                for named, r, nu in joins:
                     for j, sl in binds:
-                        values[sl] = full.get(args[j], args[j])
-                    if repeats and any(values[sl] != full.get(args[j], args[j]) for j, sl in binds):
+                        values[sl] = named[j]
+                    if repeats and any(values[sl] != named[j] for j, sl in binds):
                         continue
                     yield *r, nu
 
@@ -658,7 +697,7 @@ def _label_search(
     levels = itertools.count() if budget is None else range(budget + 1)
     for k in levels:
         found: list = []
-        for i in sorted(live):
+        for i in live:
             if lag[i] <= k:
                 fire(i, None, k - lag[i], found)
         while found:

@@ -13,8 +13,10 @@ import pool_digest
 from dlrepair import apply_update, eval_member, parse_fact, parse_instance, parse_program, Rule, Update
 from dlrepair.classify import _classify
 from dlrepair.cli import run
-from dlrepair.engine import _plan
+from dlrepair.engine import _plan, _readers
 from dlrepair.model import _specialize, ungrounded_vars
+from dlrepair.parser import _intern
+from dlrepair.repair import _prepare
 
 TRIANGLE_SRC = "s(X,Y,Z) :- r(X,Y), r(Y,Z), !r(Z,X).\n"
 
@@ -535,15 +537,22 @@ class TestBenchmarkPools:
 
 
 def test_a_repeated_request_compares_no_rules(tmp_path, monkeypatch):
-    """After one warm-up request, an identical request gets the same
-    parsed and specialised rules, so every cache keyed by a rule hits
-    by identity and ``Rule.__eq__`` is never called.  The caches start
-    empty, as in a new process: a cache keeps the first of equal keys,
-    and other tests parse texts whose rules equal the query's."""
-    for cache in (parse_program, _specialize, ungrounded_vars, _plan, _classify):
+    """After one warm-up request per query text, repeated requests get the
+    same parsed and specialised rules, so every cache keyed by a rule hits
+    by identity and ``Rule.__eq__`` is never called.  That holds across two
+    texts of the query that differ only in layout, since equal rules are
+    interned.  The caches start empty, as in a new process: a cache keeps
+    the first of equal keys, and other tests parse texts whose rules equal
+    the query's."""
+    for cache in (parse_program, _intern, _specialize, ungrounded_vars, _plan, _classify, _prepare, _readers):
         cache.cache_clear()
     _, argvs = pool_digest.run.write_inputs("spdl", 1, 1, tmp_path)
     assert argvs[0][0] == "repair"
+    query = Path(argvs[0][argvs[0].index("-q") + 1])
+    relaid = tmp_path / "relaid.dl"
+    relaid.write_text("% the same query\n" + query.read_text().replace(" :- ", ":-\n    ").replace(", ", ","))
+    assert relaid.read_text() != query.read_text()
+    other = [str(relaid) if a == str(query) else a for a in argvs[0]]
     calls = []
     compare = Rule.__eq__
 
@@ -554,9 +563,23 @@ def test_a_repeated_request_compares_no_rules(tmp_path, monkeypatch):
     monkeypatch.setattr(Rule, "__eq__", counting)
     assert Rule("ans", (), ()) == Rule("ans", (), ()) and len(calls) == 1
     first = invoke(argvs[0])
+    assert invoke(other) == first
     calls.clear()
-    assert invoke(argvs[0]) == first
+    for argv in (argvs[0], other, argvs[0], other):
+        assert invoke(argv) == first
     assert calls == []
+
+
+def test_a_repeated_request_prepares_nothing_again(tmp_path):
+    """After one warm-up request, an identical request misses none of the
+    caches that prepare a query: the label search's set-up, the readers of
+    the self-check's fixpoint, and the rule plans."""
+    _, argvs = pool_digest.run.write_inputs("spdl", 1, 1, tmp_path)
+    caches = (_prepare, _readers, _plan)
+    first = invoke(argvs[0])
+    misses = [cache.cache_info().misses for cache in caches]
+    assert invoke(argvs[0]) == first
+    assert [cache.cache_info().misses for cache in caches] == misses
 
 
 def test_module_entry_point(triangle):

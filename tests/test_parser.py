@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dlrepair import parser
 from dlrepair import (
     ArityMismatch,
     Comparison,
@@ -300,4 +301,109 @@ class TestRoundTrip:
         rng = random.Random(43)
         for _ in range(50):
             instance = random_instance(rng)
+            assert parse_instance(render_instance(instance)) == instance
+
+
+def token_parse(text, monkeypatch):
+    """``parse_instance``'s result for ``text`` by the token parser alone,
+    or the error it raises, as ``(class, message)``, where the message
+    holds the line and column."""
+    with monkeypatch.context() as m:
+        m.setattr(parser, "_scan_facts", lambda text: None)
+        return outcome(text)
+
+
+def outcome(text):
+    try:
+        return parse_instance(text)
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
+
+
+def random_fact_text(rng: random.Random) -> str:
+    """Fact lines near the strict subset that ``render_instance`` writes,
+    with some pieces that leave it or are errors."""
+    names = ["r", "s", "q", "R", "q1", "0x"] * 3 + ["_r"]
+    values = ["a", "b", "c0", "1", "aB"] * 5 + ["X", "_c", '"a b"', "_c0"]
+    lines = []
+    for _ in range(rng.randint(0, 6)):
+        name = rng.choice(names)
+        shape = rng.random()
+        if shape < 0.15:
+            atom = name
+        elif shape < 0.2:
+            atom = name + "()"
+        else:
+            sep = rng.choice([",", ",", ",", ", "])
+            atom = f"{name}({sep.join(rng.choice(values) for _ in range(rng.randint(1, 3)))})"
+        end = rng.choice(["\n"] * 20 + ["\r\n", " \n", "", "\t\n", " % note\n"])
+        lines.append(atom + rng.choice(["."] * 30 + [""]) + end)
+    return "".join(lines)
+
+
+class TestFactScan:
+    """The one-regex scan of ``parse_instance`` and the token parser give the
+    same instance, or the same error."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "r(a,b).\n",
+            "r(a,b).\ns(c).\nr(b,a).\n",
+            "r(a,b).",
+            "r(a,b).\r\nr(b,c).\r\n",
+            "r(a, b).\n",
+            "r(a,b).\t\n",
+            "\tr(a,b).\n",
+            "r(a,b). r(b,c).\n",
+            "r(a,b).\n\n",
+            "r(a,b). % a comment\n",
+            "% only a comment\n",
+            'r("a b",c).\n',
+            'r("a",c).\n',
+            "q().\n",
+            "q.\n",
+            "q().\nq.\n",
+            "R(a).\n",
+            "Rel(a1,b_2).\n",
+            "0x(1,2).\n",
+            "r(aB,c_).\n",
+            "_r(a).\n",
+            "r(_a).\n",
+            "r(_c0).\n",
+            "r(X,b).\n",
+            "r(a,Y).\n",
+            "r(a,b).\nr(a).\n",
+            "q.\nq(a).\n",
+            "r(a,b)\n",
+            "r(a,,b).\n",
+            "r(a b).\n",
+            "r(a,b).\nr(é).\n",
+        ],
+    )
+    def test_hand_written(self, text, monkeypatch):
+        assert outcome(text) == token_parse(text, monkeypatch)
+
+    def test_random_texts(self, monkeypatch):
+        rng = random.Random(44)
+        scanned = 0
+        for _ in range(600):
+            text = random_fact_text(rng)
+            expected = token_parse(text, monkeypatch)
+            assert outcome(text) == expected, text
+            if parser._scan_facts(text) is not None:
+                scanned += 1
+                assert parser._scan_facts(text) == expected, text
+        assert 50 < scanned < 550
+
+    def test_rendered_instances_take_the_scan(self, monkeypatch):
+        def no_tokens(*args, **kwargs):
+            raise AssertionError("the token parser ran")
+
+        monkeypatch.setattr(parser, "_Parser", no_tokens)
+        rng = random.Random(45)
+        schema = (("r", 2), ("p", 1), ("marker", 0), ("t", 3))
+        for _ in range(100):
+            instance = random_instance(rng, consts=("a", "b", "1", "c0"), schema=schema)
             assert parse_instance(render_instance(instance)) == instance

@@ -52,6 +52,59 @@ def unused_imports(tree: ast.Module, filename: str):
             yield filename, name, line
 
 
+def unbounded_caches(tree: ast.Module, filename: str):
+    """``(file, function, line)`` for each function under a ``functools``
+    cache that can grow without bound: ``lru_cache`` with a ``maxsize`` that
+    is not an integer literal, or ``cache`` on a function that takes
+    arguments.  A bare ``lru_cache`` keeps its default of 128."""
+
+    def named(node, name):
+        return isinstance(node, ast.Name) and node.id == name or (
+            isinstance(node, ast.Attribute)
+            and node.attr == name
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        )
+
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            takes = a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg
+            for dec in node.decorator_list:
+                if isinstance(dec, ast.Call) and named(dec.func, "lru_cache"):
+                    size = dec.args[0] if dec.args else next((k.value for k in dec.keywords if k.arg == "maxsize"), None)
+                    if size is not None and not (isinstance(size, ast.Constant) and type(size.value) is int):
+                        yield filename, node.name, dec.lineno
+                elif named(dec, "cache") and takes:
+                    yield filename, node.name, dec.lineno
+
+
+def test_caches_are_bounded():
+    """A long-lived process keeps every cache, so each has a finite size;
+    only a cache of a function without arguments holds a single value."""
+    found = []
+    for path in sorted(Path(dlrepair.__file__).parent.glob("*.py")):
+        for filename, name, line in unbounded_caches(ast.parse(path.read_text()), path.name):
+            found.append(f"{filename}:{line} {name}")
+    assert found == []
+
+
+def test_the_check_sees_unbounded_caches():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n\n"
+        "@functools.lru_cache(maxsize=None)\ndef a(x): pass\n\n"
+        "@lru_cache(None)\ndef b(x): pass\n\n"
+        "@functools.cache\ndef c(x): pass\n\n"
+        "@cache\ndef d(*xs): pass\n\n"
+        "@functools.lru_cache(maxsize=SIZE)\ndef e(x): pass\n\n"
+        "@functools.lru_cache(maxsize=8)\ndef f(x): pass\n\n"
+        "@lru_cache(16, typed=True)\ndef g(x): pass\n\n"
+        "@functools.lru_cache\ndef h(x): pass\n\n"
+        "@functools.cache\ndef i(): pass\n"
+    )
+    assert [name for _, name, _ in unbounded_caches(ast.parse(source), "x.py")] == ["a", "b", "c", "d", "e"]
+
+
 def test_no_unused_imports():
     """``__init__.py`` only re-exports, so it is not checked."""
     found = []
