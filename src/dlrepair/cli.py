@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import repair as repair_mod
 from . import sat as sat_mod
@@ -48,7 +49,19 @@ class _UsageError(Exception):
     pass
 
 
+class _Command(NamedTuple):
+    """What ``_fast_parse`` reads of one command: the action of each option
+    string, the default of each dest in declaration order, and the dests
+    that must be given."""
+
+    options: dict[str, argparse.Action]
+    defaults: dict[str, object]
+    required: tuple[str, ...]
+
+
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, _Command]
+
     def error(self, message: str):  # noqa: A003 - argparse API
         raise _UsageError(message)
 
@@ -65,43 +78,92 @@ def _non_negative_int(text: str) -> int:
 
 @functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, with the option table of each command in
+    ``commands``, made from the actions that its ``add_argument`` calls
+    return."""
     parser = _Parser(prog="dlrepair", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    declared: dict[str, list[argparse.Action]] = {}
 
-    def io_args(p: _Parser, data: bool = True, tup: bool = True) -> None:
-        p.add_argument("-q", "--query", required=True, help="query file (.dl)")
+    def command(name: str, summary: str) -> Callable[..., None]:
+        p = sub.add_parser(name, help=summary)
+        actions = declared[name] = []
+        return lambda *flags, **kwargs: actions.append(p.add_argument(*flags, **kwargs))
+
+    def io_args(add: Callable[..., None], data: bool = True, tup: bool = True) -> None:
+        add("-q", "--query", required=True, help="query file (.dl)")
         if data:
-            p.add_argument("-d", "--data", required=True, help="fact database file (.facts)")
+            add("-d", "--data", required=True, help="fact database file (.facts)")
         if tup:
-            p.add_argument("-t", "--tuple", required=True, dest="tuple_text", help='target tuple, e.g. "(a,b)"')
+            add("-t", "--tuple", required=True, dest="tuple_text", help='target tuple, e.g. "(a,b)"')
 
-    io_args(sub.add_parser("classify", help="report the query's syntactic fragment"), data=False, tup=False)
-    io_args(sub.add_parser("eval", help="is the tuple in the answer?"))
-    io_args(sub.add_parser("decide", help="does any repair exist?"))
-    p_bound = sub.add_parser("bound", help="does a repair of size at most k exist?")
-    io_args(p_bound)
-    p_bound.add_argument("-k", type=_non_negative_int, required=True)
-    p_size = sub.add_parser("size", help="minimum repair size")
-    io_args(p_size)
-    p_size.add_argument("--budget", type=_non_negative_int, default=None)
-    p_rep = sub.add_parser("repair", help="compute a minimum repair")
-    io_args(p_rep)
-    p_rep.add_argument("--budget", type=_non_negative_int, default=None)
-    p_rep.add_argument("--oracle", action="store_true", help="use the brute-force reference search")
-    p_rep.add_argument("--json", action="store_true", dest="as_json")
-    io_args(sub.add_parser("sat", help="is the query satisfiable?"), data=False, tup=False)
-    p_gen = sub.add_parser("gen-setcover", help="generate a random set-cover instance")
-    p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("-n", type=int, required=True, help="universe size")
-    p_gen.add_argument("-m", type=int, required=True, help="number of sets")
-    p_gen.add_argument("--density", type=float, required=True)
-    p_red = sub.add_parser("reduce-setcover", help="translate a set-cover instance into a repair problem")
-    p_red.add_argument("-i", "--input", required=True, help="set-cover file")
-    p_red.add_argument("-o", "--outdir", required=True)
-    p_ext = sub.add_parser("extract-cover", help="turn a repair back into a set cover")
-    p_ext.add_argument("-i", "--input", required=True, help="set-cover file")
-    p_ext.add_argument("--repair", required=True, dest="repair_json", help="repair JSON file")
+    io_args(command("classify", "report the query's syntactic fragment"), data=False, tup=False)
+    io_args(command("eval", "is the tuple in the answer?"))
+    io_args(command("decide", "does any repair exist?"))
+    add = command("bound", "does a repair of size at most k exist?")
+    io_args(add)
+    add("-k", type=_non_negative_int, required=True)
+    add = command("size", "minimum repair size")
+    io_args(add)
+    add("--budget", type=_non_negative_int, default=None)
+    add = command("repair", "compute a minimum repair")
+    io_args(add)
+    add("--budget", type=_non_negative_int, default=None)
+    add("--oracle", action="store_true", help="use the brute-force reference search")
+    add("--json", action="store_true", dest="as_json")
+    io_args(command("sat", "is the query satisfiable?"), data=False, tup=False)
+    add = command("gen-setcover", "generate a random set-cover instance")
+    add("--seed", type=int, required=True)
+    add("-n", type=int, required=True, help="universe size")
+    add("-m", type=int, required=True, help="number of sets")
+    add("--density", type=float, required=True)
+    add = command("reduce-setcover", "translate a set-cover instance into a repair problem")
+    add("-i", "--input", required=True, help="set-cover file")
+    add("-o", "--outdir", required=True)
+    add = command("extract-cover", "turn a repair back into a set cover")
+    add("-i", "--input", required=True, help="set-cover file")
+    add("--repair", required=True, dest="repair_json", help="repair JSON file")
+    parser.commands = {
+        name: _Command(
+            {flag: a for a in actions for flag in a.option_strings},
+            {a.dest: a.default for a in actions},
+            tuple(a.dest for a in actions if a.required),
+        )
+        for name, actions in declared.items()
+    }
     return parser
+
+
+def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace that ``_build_parser().parse_args(argv)`` returns, read
+    without argparse when ``argv`` is a command followed only by exact
+    option strings of that command, each option that takes a value followed
+    by a value that does not start with ``-`` and that its type accepts,
+    and every required option present.  None for any other argv (help,
+    abbreviations, ``--opt=value``, ``-qFILE``, ``--`` and every usage
+    error), which argparse then reads."""
+    command = _build_parser().commands.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = command.options.get(token)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            values[action.dest] = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+    if not all(dest in values for dest in command.required):
+        return None
+    return argparse.Namespace(command=argv[0], **{**command.defaults, **values})
 
 
 def _load(args) -> tuple[Program, Instance | None, tuple[str, ...] | None]:
@@ -162,7 +224,7 @@ def run(argv: list[str], out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
     try:
-        args = _build_parser().parse_args(argv)
+        args = _fast_parse(argv) or _build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return EXIT_USAGE

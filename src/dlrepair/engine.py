@@ -254,15 +254,17 @@ def rule_solutions(
         return
     # Every positive literal is a lookup, so the checks are negated literals; inequalities
     # ground from the start compare two forced classes, which hold distinct constants.
-    start, (pre, _), steps, head, *_ = plan
-    if any(get(start) in relations.get(name, _EMPTY_RELATION).tuples for _, name, get, _ in pre):
+    start, pre, steps, head = plan[0], plan[1][0], plan[2], plan[3]
+    if pre and any(get(start) in relations.get(name, _EMPTY_RELATION).tuples for _, name, get, _ in pre):
         return
     vals = list(start)
     levels = []
-    for (k, relation, columns, key, repeats, binds), negated, unequal, _ in steps:
+    for lookup, negated, unequal, _ in steps:
+        k, relation = lookup[0], lookup[1]
         rel = delta[1] if delta is not None and k == delta[0] else relations.get(relation, _EMPTY_RELATION)
-        negated = tuple((relations.get(name, _EMPTY_RELATION).tuples, get) for _, name, get, _ in negated)
-        levels.append((rel, columns, key, repeats, binds, negated, unequal))
+        if negated:
+            negated = tuple((relations.get(name, _EMPTY_RELATION).tuples, get) for _, name, get, _ in negated)
+        levels.append((rel, lookup[2], lookup[3], lookup[4], lookup[5], negated, unequal))
     if not levels:
         yield head(vals)
         return

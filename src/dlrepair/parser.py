@@ -328,11 +328,13 @@ def _fact(p: _Parser) -> tuple[Fact, _Token]:
     return Fact(name, tuple(t.name for t in terms)), name_tok
 
 
+# Bare constants separated by commas, as ``render_constant`` writes them.
+_BARE_CONSTS = r"(?:[a-z0-9][A-Za-z0-9_]*(?:,[a-z0-9][A-Za-z0-9_]*)*)?"
 # One fact per line as ``render_instance`` writes it over bare constants,
 # or any other character, which sends the text to the token parser.
-_FACT_LINE_RE = re.compile(
-    r"([A-Za-z0-9][A-Za-z0-9_]*)(?:\(((?:[a-z0-9][A-Za-z0-9_]*(?:,[a-z0-9][A-Za-z0-9_]*)*)?)\))?\.\n|([\s\S])"
-)
+_FACT_LINE_RE = re.compile(rf"([A-Za-z0-9][A-Za-z0-9_]*)(?:\(({_BARE_CONSTS})\))?\.\n|([\s\S])")
+# A tuple as ``render_tuple`` writes it over bare constants.
+_TUPLE_RE = re.compile(rf"\(({_BARE_CONSTS})\)")
 
 
 def _scan_facts(text: str) -> Instance | None:
@@ -376,6 +378,13 @@ def parse_instance(text: str) -> Instance:
 
 
 def parse_tuple(text: str) -> tuple[str, ...]:
+    """The constants of a tuple ``(c1,...,ck)``.  A tuple over bare
+    constants with no spaces, as ``render_tuple`` writes it, is read by one
+    regular expression; any other text, and every error, goes through the
+    token parser, which gives the same tuple."""
+    scanned = _TUPLE_RE.fullmatch(text)
+    if scanned is not None:
+        return tuple(scanned[1].split(",")) if scanned[1] else ()
     p = _Parser(text)
     terms, toks = p.term_list()
     for t, tok in zip(terms, toks):

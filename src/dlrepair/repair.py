@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Mapping, Sequence
 
@@ -442,7 +443,7 @@ def _label_search(
     # The place of each value in the order that ``choices`` gives.
     rank_of = {v: n for n, v in enumerate(fixed + fresh)}.__getitem__
     index = _index_instance(instance.facts)
-    store: dict[str, _Relation] = {}
+    store: dict[str, _Relation] = defaultdict(_Relation)
     by_atom: dict[tuple[str, tuple[str, ...]], list[frozenset]] = {}
 
     def wild(values: Iterable[str]) -> tuple:
@@ -701,14 +702,14 @@ def _label_search(
             if lag[i] <= k:
                 fire(i, None, k - lag[i], found)
         while found:
-            delta: dict[str, _Relation] = {}
+            delta: dict[str, _Relation] = defaultdict(_Relation)
             for relation, args, label, n in found:
                 kept = by_atom.setdefault((relation, args), [])
                 if not any(old <= label for old in kept):
                     kept.append(label)
                     row = wild(args) + ((args, label, n),)
-                    store.setdefault(relation, _Relation()).add(row)
-                    delta.setdefault(relation, _Relation()).add(row)
+                    store[relation].add(row)
+                    delta[relation].add(row)
             found = []
             for relation, view in delta.items():
                 for i, d in readers.get(relation, ()):

@@ -1,6 +1,8 @@
+import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,7 +14,8 @@ import dlrepair
 import pool_digest
 from dlrepair import apply_update, eval_member, parse_fact, parse_instance, parse_program, Rule, Update
 from dlrepair.classify import _classify
-from dlrepair.cli import run
+from dlrepair import parser
+from dlrepair.cli import _build_parser, _fast_parse, _UsageError, run
 from dlrepair.engine import _plan, _readers
 from dlrepair.model import _specialize, ungrounded_vars
 from dlrepair.parser import _intern
@@ -467,6 +470,259 @@ def test_runs_are_independent(triangle):
     code, out, _ = invoke(argv)
     assert code == 0
     assert out.splitlines()[:2] == ["status: found", "size: 3"]
+
+
+# Help as argparse lays it out at 80 columns (Python 3.11).
+TOP_HELP = """\
+usage: dlrepair [-h]
+                {classify,eval,decide,bound,size,repair,sat,gen-setcover,reduce-setcover,extract-cover}
+                ...
+
+Command-line interface. Exit status: 0 on success (or a true answer / found
+repair), 1 for a false answer or no repair, 2 when a budget-capped search
+comes back empty, 64 for usage errors, 65 for input errors.
+
+positional arguments:
+  {classify,eval,decide,bound,size,repair,sat,gen-setcover,reduce-setcover,extract-cover}
+    classify            report the query's syntactic fragment
+    eval                is the tuple in the answer?
+    decide              does any repair exist?
+    bound               does a repair of size at most k exist?
+    size                minimum repair size
+    repair              compute a minimum repair
+    sat                 is the query satisfiable?
+    gen-setcover        generate a random set-cover instance
+    reduce-setcover     translate a set-cover instance into a repair problem
+    extract-cover       turn a repair back into a set cover
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+REPAIR_HELP = """\
+usage: dlrepair repair [-h] -q QUERY -d DATA -t TUPLE_TEXT [--budget BUDGET]
+                       [--oracle] [--json]
+
+options:
+  -h, --help            show this help message and exit
+  -q QUERY, --query QUERY
+                        query file (.dl)
+  -d DATA, --data DATA  fact database file (.facts)
+  -t TUPLE_TEXT, --tuple TUPLE_TEXT
+                        target tuple, e.g. "(a,b)"
+  --budget BUDGET
+  --oracle              use the brute-force reference search
+  --json
+"""
+
+CHAIN_SRC = "".join(f"e(n{i},n{i + 1}).\n" for i in range(5)) + "c(n2).\nb(n3).\nb(n5).\n"
+REPAIR_N5 = ["repair", "-q", "{query}", "-d", "{data}", "-t", "(n5)"]
+EXHAUSTED = (2, "status: budget_exhausted\n", "")
+
+
+def shell(argv):
+    """Exit code, stdout and stderr of ``run(argv)`` as a shell call sees
+    them: help goes to ``sys.stdout`` and ends in ``SystemExit``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestUsageFallback:
+    """Argument lists outside the fast path's subset get argparse's answer,
+    byte for byte as the CLI gave it before the fast path existed."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["-h"], (0, TOP_HELP, "")),
+            (["repair", "-h"], (0, REPAIR_HELP, "")),
+            (REPAIR_N5 + ["--budget=2"], EXHAUSTED),
+            (REPAIR_N5 + ["--bud", "2"], EXHAUSTED),
+            (["repair", "-q{query}", "-d", "{data}", "-t", "(n5)", "--budget", "2"], EXHAUSTED),
+            (REPAIR_N5 + ["--budget", "3", "--budget", "2"], EXHAUSTED),
+            (
+                REPAIR_N5 + ["--budget", "2", "--budget", "3"],
+                (0, "status: found\nsize: 3\ninsert: a(n0)\ninsert: c(n5)\ndelete: b(n5)\n", ""),
+            ),
+            (
+                REPAIR_N5 + ["--budget", "-1"],
+                (64, "", "usage error: argument --budget: expected a non-negative integer, got '-1'\n"),
+            ),
+            (
+                ["bound", "-q", "{query}", "-d", "{data}", "-t", "(n5)", "-k", "x"],
+                (64, "", "usage error: argument -k: expected a non-negative integer, got 'x'\n"),
+            ),
+            (
+                ["repair", "-q", "{query}", "-d", "{data}"],
+                (64, "", "usage error: the following arguments are required: -t/--tuple\n"),
+            ),
+            (REPAIR_N5 + ["--fast"], (64, "", "usage error: unrecognized arguments: --fast\n")),
+            (
+                ["repair", "-q", "{query}", "-d", "{data}", "--", "-t", "(n5)"],
+                (64, "", "usage error: the following arguments are required: -t/--tuple\n"),
+            ),
+            ([], (64, "", "usage error: the following arguments are required: command\n")),
+            (
+                ["fix", "-q", "{query}"],
+                (
+                    64,
+                    "",
+                    "usage error: argument command: invalid choice: 'fix' (choose from 'classify', 'eval', "
+                    "'decide', 'bound', 'size', 'repair', 'sat', 'gen-setcover', 'reduce-setcover', "
+                    "'extract-cover')\n",
+                ),
+            ),
+        ],
+        ids=[
+            "help",
+            "command-help",
+            "equals",
+            "abbreviation",
+            "attached-value",
+            "repeated-last-2",
+            "repeated-last-3",
+            "negative-budget",
+            "k-not-a-number",
+            "missing-tuple",
+            "unknown-option",
+            "double-dash",
+            "empty",
+            "unknown-command",
+        ],
+    )
+    def test_same_answer(self, tmp_path, monkeypatch, argv, expected):
+        monkeypatch.setenv("COLUMNS", "80")
+        query, data = tmp_path / "q.dl", tmp_path / "d.facts"
+        query.write_text(SPDL_SRC)
+        data.write_text(CHAIN_SRC)
+        assert shell([a.format(query=query, data=data) for a in argv]) == expected
+
+
+# The option strings of each command, with the values to draw for each:
+# well-formed ones first, then some that argparse rejects or reads apart.
+PATHS = ["q.dl", "d.facts", "(a,b)", "x y", "", "=", "-", "-q"]
+COUNTS = ["0", "3", "12", "-1", "x", "1.5", "٣", " 4"]
+INTS = ["0", "7", "25", "-2", "x", "0x1"]
+FLOATS = ["0.4", "1", "nan", "1e3", "-0.5", "x", "inf"]
+IO = [(("-q", "--query"), PATHS, True), (("-d", "--data"), PATHS, True), (("-t", "--tuple"), PATHS, True)]
+COMMAND_OPTIONS = {
+    "classify": IO[:1],
+    "eval": IO,
+    "decide": IO,
+    "bound": IO + [(("-k",), COUNTS, True)],
+    "size": IO + [(("--budget",), COUNTS, False)],
+    "repair": IO + [(("--budget",), COUNTS, False), (("--oracle",), None, False), (("--json",), None, False)],
+    "sat": IO[:1],
+    "gen-setcover": [
+        (("--seed",), INTS, True),
+        (("-n",), INTS, True),
+        (("-m",), INTS, True),
+        (("--density",), FLOATS, True),
+    ],
+    "reduce-setcover": [(("-i", "--input"), PATHS, True), (("-o", "--outdir"), PATHS, True)],
+    "extract-cover": [(("-i", "--input"), PATHS, True), (("--repair",), PATHS, True)],
+}
+STRAYS = ["-h", "--help", "--", "-", "--bud", "--que", "--json=1", "-qx.dl", "-k3", "bogus", "", "repair", "-x"]
+
+
+def random_argv(rng: random.Random) -> list[str]:
+    """A command with each of its options in random order, each value-taking
+    one followed by a value, mostly well-formed: some options are dropped,
+    repeated or given a bad value, and some argvs get a stray token."""
+    command = rng.choice(list(COMMAND_OPTIONS) * 5 + ["bogus", "Repair", "--help"])
+    pairs = []
+    for flags, values, required in COMMAND_OPTIONS.get(command, []):
+        if rng.random() < (0.05 if required else 0.5):
+            continue
+        for _ in range(2 if rng.random() < 0.05 else 1):
+            flag = rng.choice(flags)
+            if values is None:
+                pairs.append([flag])
+            else:
+                pairs.append([flag, values[0] if rng.random() < 0.6 else rng.choice(values)])
+    rng.shuffle(pairs)
+    argv = [command] + [token for pair in pairs for token in pair]
+    if rng.random() < 0.2:
+        argv.insert(rng.randint(1, len(argv)), rng.choice(STRAYS))
+    if rng.random() < 0.05:
+        del argv[rng.randrange(len(argv))]
+    return argv
+
+
+def argparse_namespace(argv):
+    """``_build_parser().parse_args(argv)``, or None where argparse reports
+    a usage error or prints help."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return _build_parser().parse_args(argv)
+        except (_UsageError, SystemExit):
+            return None
+
+
+class TestFastParse:
+    """``_fast_parse`` returns None or exactly argparse's namespace: the
+    same attributes, in the same order, with values of the same types."""
+
+    @pytest.mark.parametrize(
+        "argv, fast",
+        [
+            (["repair", "-q", "q.dl", "-d", "d.facts", "-t", "(a)", "--json", "--budget", "3"], True),
+            (["repair", "--json", "--oracle", "-t", "()", "--data", "d", "--query", "q"], True),
+            (["eval", "-q", "q.dl", "-d", "d.facts", "-t", "(v4,v3)"], True),
+            (["classify", "-q", "q.dl"], True),
+            (["sat", "--query", "q.dl"], True),
+            (["bound", "-q", "q", "-d", "d", "-t", "(a)", "-k", "0"], True),
+            (["size", "-q", "q", "-d", "d", "-t", "(a)", "--budget", "5"], True),
+            (["gen-setcover", "--seed", "1", "-n", "5", "-m", "4", "--density", "0.4"], True),
+            (["gen-setcover", "--seed", "1", "-n", "5", "-m", "4", "--density", "nan"], True),
+            (["reduce-setcover", "-i", "c.txt", "-o", "out"], True),
+            (["extract-cover", "--input", "c.txt", "--repair", "r.json"], True),
+            (["repair", "-q", "q", "-d", "d", "-t", ""], True),
+            (["repair", "-q", "q", "-d", "d", "-t", "(a)", "--budget", "1", "--budget", "2"], True),
+            (["gen-setcover", "--seed", "-1", "-n", "5", "-m", "4", "--density", "0.4"], False),
+            (["repair", "-q", "q", "-d", "d", "-t", "-x"], False),
+            (["repair", "-q", "q", "-d", "d", "-t"], False),
+            (["repair", "-q", "q", "-d", "d", "-t", "(a)", "-k", "3"], False),
+            (["bound", "-q", "q", "-d", "d", "-t", "(a)", "-k", "1.5"], False),
+            (["classify", "-q", "q.dl", "extra"], False),
+            (["classify", "-h"], False),
+            (["--help"], False),
+            (["Repair", "-q", "q"], False),
+        ],
+    )
+    def test_hand_written(self, argv, fast):
+        namespace = _fast_parse(argv)
+        assert (namespace is not None) == fast
+        if fast:
+            assert repr(namespace) == repr(argparse_namespace(argv))
+
+    def test_random_argvs(self):
+        rng = random.Random(25)
+        taken = 0
+        for _ in range(2500):
+            argv = random_argv(rng)
+            namespace = _fast_parse(argv)
+            if namespace is not None:
+                taken += 1
+                assert repr(namespace) == repr(argparse_namespace(argv)), argv
+        assert 750 < taken < 2000
+
+    def test_every_pool_request_takes_the_fast_path(self):
+        """Every request of the seed-1 pools of the benchmark workloads, and
+        its target, is read without argparse and without the token parser."""
+        for workload in pool_digest.WORKLOADS:
+            _, requests = pool_digest.run.workloads.make_requests(workload, 1, pool_digest.run.POOL[workload])
+            for i, request in enumerate(requests):
+                argv = [a.format(query="query.dl", data=f"{i}.facts") for a in request.argv]
+                namespace = _fast_parse(argv)
+                assert namespace is not None, argv
+                assert repr(namespace) == repr(argparse_namespace(argv))
+                assert parser._TUPLE_RE.fullmatch(namespace.tuple_text), argv
 
 
 def _repair_json_under_hash_seeds(query, data, target, *extra):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -407,3 +408,82 @@ class TestFactScan:
         for _ in range(100):
             instance = random_instance(rng, consts=("a", "b", "1", "c0"), schema=schema)
             assert parse_instance(render_instance(instance)) == instance
+
+
+def tuple_outcome(text):
+    try:
+        return parse_tuple(text)
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
+
+
+class TestTupleScan:
+    """The one-regex scan of ``parse_tuple`` and the token parser give the
+    same tuple, or the same error."""
+
+    @staticmethod
+    def token_parse(text, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(parser, "_TUPLE_RE", re.compile(r"(?!)"))
+            return tuple_outcome(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "()",
+            "(a)",
+            "(a1,a2,a3,a4,a5)",
+            "(v49,v30)",
+            "(0x,1,aB,c_)",
+            "( )",
+            "(a, b)",
+            " (a)",
+            "(a)\n",
+            "(a)\r\n",
+            '("a b",c)',
+            '("a")',
+            "(X)",
+            "(a,Y)",
+            "(_a)",
+            "(_c0)",
+            "(a_,_)",
+            "(é)",
+            "(aé)",
+            "(a,,b)",
+            "(a,)",
+            "(,a)",
+            "(a",
+            "a)",
+            "a",
+            "",
+            "(a)(b)",
+            "(a).",
+            "(a) % note",
+            "(a b)",
+        ],
+    )
+    def test_hand_written(self, text, monkeypatch):
+        assert tuple_outcome(text) == self.token_parse(text, monkeypatch)
+
+    def test_random_texts(self, monkeypatch):
+        rng = random.Random(46)
+        pieces = ["a", "b", "c0", "1", "aB", "x_y"] * 4 + ["X", "_c", "_c0", '"a b"', "é", ""]
+        scanned = 0
+        for _ in range(600):
+            sep = rng.choice([",", ",", ",", ", ", ",,"])
+            text = "(" + sep.join(rng.choice(pieces) for _ in range(rng.randint(0, 4))) + ")"
+            text = rng.choice([""] * 8 + [" ", "\t"]) + text + rng.choice([""] * 8 + ["\n", " ", "."])
+            expected = self.token_parse(text, monkeypatch)
+            assert tuple_outcome(text) == expected, text
+            scanned += parser._TUPLE_RE.fullmatch(text) is not None
+        assert 100 < scanned < 500
+
+    def test_rendered_tuples_take_the_scan(self, monkeypatch):
+        def no_tokens(*args, **kwargs):
+            raise AssertionError("the token parser ran")
+
+        monkeypatch.setattr(parser, "_Parser", no_tokens)
+        rng = random.Random(47)
+        for _ in range(100):
+            values = tuple(rng.choice(("a", "b", "1", "c0", "x_Y")) for _ in range(rng.randint(0, 5)))
+            assert parse_tuple(render_tuple(values)) == values
