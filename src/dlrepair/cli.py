@@ -8,6 +8,7 @@ usage errors, 65 for input errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -166,6 +167,19 @@ def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
     return argparse.Namespace(command=argv[0], **{**command.defaults, **values})
 
 
+def _argparse(argv: list[str], out, err) -> argparse.Namespace | int:
+    """``_build_parser().parse_args(argv)``, or the exit code once argparse
+    has written help to ``out`` or a usage error to ``err``."""
+    try:
+        with contextlib.redirect_stdout(out):
+            return _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=err)
+        return EXIT_USAGE
+    except SystemExit as exc:
+        return exc.code
+
+
 def _load(args) -> tuple[Program, Instance | None, tuple[str, ...] | None]:
     program = parse_program(Path(args.query).read_text())
     instance = None
@@ -220,14 +234,17 @@ def _read_repair_json(path: str) -> Update:
     return Update.of(*lists)
 
 
+def _answer(value: bool, out) -> int:
+    print(str(value).lower(), file=out)
+    return EXIT_OK if value else EXIT_FALSE
+
+
 def run(argv: list[str], out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
-    try:
-        args = _fast_parse(argv) or _build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=err)
-        return EXIT_USAGE
+    out = sys.stdout if out is None else out
+    err = sys.stderr if err is None else err
+    args = _fast_parse(argv) or _argparse(argv, out, err)
+    if isinstance(args, int):
+        return args
 
     try:
         if args.command == "classify":
@@ -237,22 +254,13 @@ def run(argv: list[str], out=None, err=None) -> int:
             return EXIT_OK
 
         if args.command == "eval":
-            program, instance, target = _load(args)
-            member = eval_member(program, instance, target)
-            print(str(member).lower(), file=out)
-            return EXIT_OK if member else EXIT_FALSE
+            return _answer(eval_member(*_load(args)), out)
 
         if args.command == "decide":
-            program, instance, target = _load(args)
-            exists = sat_mod.ma_dec(program, instance, target)
-            print(str(exists).lower(), file=out)
-            return EXIT_OK if exists else EXIT_FALSE
+            return _answer(sat_mod.ma_dec(*_load(args)), out)
 
         if args.command == "bound":
-            program, instance, target = _load(args)
-            ok = repair_mod.ma_bound(program, instance, target, args.k)
-            print(str(ok).lower(), file=out)
-            return EXIT_OK if ok else EXIT_FALSE
+            return _answer(repair_mod.ma_bound(*_load(args), args.k), out)
 
         if args.command == "size":
             program, instance, target = _load(args)

@@ -221,22 +221,13 @@ def _desugar_head(terms: list[Term], used: set[str]) -> tuple[tuple[Term, ...], 
     return tuple(head), extra
 
 
-# Bounded, like the caches keyed by rules that it feeds.
-@functools.lru_cache(maxsize=4096)
-def _intern(rule: Rule) -> Rule:
-    """The first parsed rule equal to ``rule``: equal rules become one
-    object, whichever text they came from."""
-    return rule
-
-
 # Bounded, since a long-lived process may parse many distinct queries.
 @functools.lru_cache(maxsize=256)
 def parse_program(text: str) -> Program:
     """The program that ``text`` states, memoised by the text: equal texts
-    get the same ``Program``, and equal rules, whichever text states them,
-    the same ``Rule`` object (``_intern``), so the caches keyed by rules
-    hit by identity.  The result is shared between callers and must not be
-    mutated.  A text that raises is not remembered."""
+    get the same ``Program`` and ``Rule`` objects, so the caches keyed by
+    rules hit by identity.  The result is shared between callers and must
+    not be mutated.  A text that raises is not remembered."""
     p = _Parser(text)
     rules: list[Rule] = []
     rule_tokens: list[tuple[_Token, list[tuple[RelLiteral, _Token]]]] = []
@@ -284,7 +275,7 @@ def parse_program(text: str) -> Program:
         used_vars.update(t.name for t in body_terms(body) if t.is_variable)
         head_args, extra = _desugar_head(head_terms, used_vars)
         see_arity(head_name, len(head_args), head_tok)
-        rule = _intern(Rule(head_name, head_args, tuple(extra) + tuple(body)))
+        rule = Rule(head_name, head_args, tuple(extra) + tuple(body))
         rules.append(rule)
         rule_tokens.append((head_tok, rel_spans))
 

@@ -52,31 +52,40 @@ def unused_imports(tree: ast.Module, filename: str):
             yield filename, name, line
 
 
+def _functools(node, name):
+    return isinstance(node, ast.Name) and node.id == name or (
+        isinstance(node, ast.Attribute)
+        and node.attr == name
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "functools"
+    )
+
+
+def caches(tree: ast.Module):
+    """``(function, decorator)`` for each ``functools`` cache decorator, as
+    ``@lru_cache(...)``, ``@lru_cache`` or ``@cache``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                called = dec.func if isinstance(dec, ast.Call) else dec
+                if _functools(called, "lru_cache") or _functools(called, "cache"):
+                    yield node, dec
+
+
 def unbounded_caches(tree: ast.Module, filename: str):
     """``(file, function, line)`` for each function under a ``functools``
     cache that can grow without bound: ``lru_cache`` with a ``maxsize`` that
     is not an integer literal, or ``cache`` on a function that takes
     arguments.  A bare ``lru_cache`` keeps its default of 128."""
-
-    def named(node, name):
-        return isinstance(node, ast.Name) and node.id == name or (
-            isinstance(node, ast.Attribute)
-            and node.attr == name
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "functools"
-        )
-
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            a = node.args
-            takes = a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg
-            for dec in node.decorator_list:
-                if isinstance(dec, ast.Call) and named(dec.func, "lru_cache"):
-                    size = dec.args[0] if dec.args else next((k.value for k in dec.keywords if k.arg == "maxsize"), None)
-                    if size is not None and not (isinstance(size, ast.Constant) and type(size.value) is int):
-                        yield filename, node.name, dec.lineno
-                elif named(dec, "cache") and takes:
-                    yield filename, node.name, dec.lineno
+    for node, dec in caches(tree):
+        a = node.args
+        takes = a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg
+        if isinstance(dec, ast.Call) and _functools(dec.func, "lru_cache"):
+            size = dec.args[0] if dec.args else next((k.value for k in dec.keywords if k.arg == "maxsize"), None)
+            if size is not None and not (isinstance(size, ast.Constant) and type(size.value) is int):
+                yield filename, node.name, dec.lineno
+        elif _functools(dec, "cache") and takes:
+            yield filename, node.name, dec.lineno
 
 
 def test_caches_are_bounded():
@@ -87,6 +96,32 @@ def test_caches_are_bounded():
         for filename, name, line in unbounded_caches(ast.parse(path.read_text()), path.name):
             found.append(f"{filename}:{line} {name}")
     assert found == []
+
+
+# Every function under a ``functools`` cache, by module.
+CACHED = {
+    ("classify.py", "_classify"),
+    ("cli.py", "_build_parser"),
+    ("engine.py", "_plan"),
+    ("engine.py", "_readers"),
+    ("model.py", "_specialize"),
+    ("model.py", "ungrounded_vars"),
+    ("parser.py", "parse_program"),
+    ("repair.py", "_prepare"),
+}
+
+
+def test_the_cached_functions_are_the_measured_ones():
+    """The cached functions are exactly ``CACHED``.  A cache must pay for
+    itself: a new one joins the set only with its measured share of a warm
+    request on the benchmark workloads recorded in CHANGES.md, and one
+    whose removal measures no slower leaves it."""
+    found = {
+        (path.name, node.name)
+        for path in Path(dlrepair.__file__).parent.glob("*.py")
+        for node, _ in caches(ast.parse(path.read_text()))
+    }
+    assert found == CACHED
 
 
 def test_the_check_sees_unbounded_caches():
@@ -100,8 +135,10 @@ def test_the_check_sees_unbounded_caches():
         "@functools.lru_cache(maxsize=8)\ndef f(x): pass\n\n"
         "@lru_cache(16, typed=True)\ndef g(x): pass\n\n"
         "@functools.lru_cache\ndef h(x): pass\n\n"
-        "@functools.cache\ndef i(): pass\n"
+        "@functools.cache\ndef i(): pass\n\n"
+        "@other.cache\ndef j(x): pass\n"
     )
+    assert [node.name for node, _ in caches(ast.parse(source))] == list("abcdefghi")
     assert [name for _, name, _ in unbounded_caches(ast.parse(source), "x.py")] == ["a", "b", "c", "d", "e"]
 
 
