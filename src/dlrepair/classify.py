@@ -8,6 +8,7 @@ variable renaming never changes a flag.
 from __future__ import annotations
 
 import functools
+import graphlib
 from dataclasses import dataclass, fields
 
 from .model import Comparison, Program, Rule
@@ -32,29 +33,17 @@ class QueryClass:
 
 
 def _is_recursive(rules: tuple[Rule, ...]) -> bool:
-    """Does the head-dependency graph have a cycle?  Kahn's algorithm:
-    repeatedly remove symbols whose rules read no remaining symbol; the
-    graph is acyclic iff that removes them all."""
+    """Does the head-dependency graph have a cycle (a rule reading its own
+    head counts)?"""
     idb = frozenset(r.head for r in rules)
     reads: dict[str, set[str]] = {sym: set() for sym in idb}
     for r in rules:
-        for lit in r.relational_literals():
-            if lit.relation in idb:
-                reads[r.head].add(lit.relation)
-    readers: dict[str, list[str]] = {sym: [] for sym in idb}
-    for sym, used in reads.items():
-        for u in used:
-            readers[u].append(sym)
-    pending = {sym: len(used) for sym, used in reads.items()}
-    ready = [sym for sym, n in pending.items() if n == 0]
-    removed = 0
-    while ready:
-        removed += 1
-        for sym in readers[ready.pop()]:
-            pending[sym] -= 1
-            if pending[sym] == 0:
-                ready.append(sym)
-    return removed < len(idb)
+        reads[r.head].update(lit.relation for lit in r.relational_literals() if lit.relation in idb)
+    try:
+        graphlib.TopologicalSorter(reads).prepare()
+    except graphlib.CycleError:
+        return True
+    return False
 
 
 def _selection_free_rule(rule: Rule) -> bool:

@@ -119,12 +119,15 @@ def _check_instance(program: Program, facts: Iterable[Fact]) -> None:
 def _plan(rule: Rule, joined: frozenset[str] | None = None, first: int | None = None) -> tuple | None:
     """How to ground ``rule``, or None when no assignment can satisfy it:
     its equality atoms equate two distinct constants, a ``!=`` atom
-    compares a class with itself, or a fact is needed both present and
-    absent from the start.  A target reaches a rule only as equality atoms
-    (``model.pin``).  Both the engine (``joined`` None) and the label
-    search (``repair._label_search``, ``joined`` the derived symbols)
-    ground rules by this plan.  With ``joined`` None, ValueError is raised
-    on an unsafe rule.
+    compares a class with itself, or a positive and a negated relational
+    literal have the same relation and the same classes as arguments.
+    Distinct classes can always take distinct values, so a plan exists
+    exactly when the rule holds on some instance.  A target reaches a rule
+    only as equality atoms (``model.pin``).  Both the engine (``joined``
+    None) and the label search (``repair._label_search``, ``joined`` the
+    derived symbols) ground rules by this plan, and satisfiability
+    (``sat.sat_cqneg``, ``joined`` empty) asks whether there is one.  With
+    ``joined`` None, ValueError is raised on an unsafe rule.
 
     An assignment is a list with a slot per equality class, numbered by
     first appearance in the head, then in the body.  The plan is ``(start,
@@ -143,15 +146,11 @@ def _plan(rule: Rule, joined: frozenset[str] | None = None, first: int | None = 
     whether a slot is bound twice.  The slots that no lookup binds follow,
     each a free step, the slot itself, to give each domain value.
 
-    Each step is ``(step, checks, unequal, need)``, and ``pre`` is
-    ``(checks, unequal)``.  The checks are every other relational literal,
-    as ``(positive, relation, reader, args)`` with ``args`` the slot of each
+    Each step is ``(step, checks, unequal)``, and ``pre`` is ``(checks,
+    unequal)``.  The checks are every other relational literal, as
+    ``(positive, relation, reader, args)`` with ``args`` the slot of each
     argument, and ``unequal`` the slot pairs of the ``!=`` atoms, each at
-    the first step where it is ground.  A free step's ``need`` has an entry
-    per relation of its positive checks, read from the first such check,
-    as ``(relation, columns, pick, known, position)``: the columns that
-    hold other slots, the readers of those columns in a fact and of their
-    values in the assignment, and the first column holding the free slot.
+    the first step where it is ground.
     """
     if joined is None:
         check_safe((rule,))
@@ -160,16 +159,19 @@ def _plan(rule: Rule, joined: frozenset[str] | None = None, first: int | None = 
         return None
     # The slot of each term and of each class.
     slot: dict[Term, int] = {}
-    roots: dict[tuple[str, str], int] = {}
+    roots: dict[Term, int] = {}
     for t in itertools.chain(rule.head_args, body_terms(rule.body)):
         if t not in slot:
-            slot[t] = roots.setdefault(closure.term_root(t), len(roots))
+            slot[t] = roots.setdefault(closure.find(t), len(roots))
     start = tuple(map(closure.forced.get, roots))
 
     def slots_of(terms: Iterable[Term]) -> tuple[int, ...]:
         return tuple(map(slot.__getitem__, terms))
 
     literals = [(lit.positive, lit.relation, slots_of(lit.args)) for lit in rule.relational_literals()]
+    negated = {(rel, args) for pos, rel, args in literals if not pos}
+    if any(pos and (rel, args) in negated for pos, rel, args in literals):
+        return None
     lookups = [(rel, args) for pos, rel, args in literals if pos and (joined is None or rel in joined)]
     others = [(pos, rel, args) for pos, rel, args in literals if not pos or joined is not None and rel not in joined]
     bound_at = {s: -1 for s, v in enumerate(start) if v is not None}
@@ -208,30 +210,15 @@ def _plan(rule: Rule, joined: frozenset[str] | None = None, first: int | None = 
     # Index -1 holds the checks ground from the start.
     checks: list[list] = [[] for _ in range(len(order) + 1)]
     unequal: list[list] = [[] for _ in range(len(order) + 1)]
-    leads: dict[int, dict[str, tuple[int, ...]]] = {}
     for positive, relation, args in others:
-        at = max((bound_at[s] for s in args), default=-1)
-        checks[at].append((positive, relation, _getter(args), args))
-        if positive and at >= 0 and isinstance(order[at], int):
-            leads.setdefault(at, {}).setdefault(relation, args)
-    absent = {(relation, get(start)) for positive, relation, get, _ in checks[-1] if not positive}
-    if absent and any((rel, tuple(map(start.__getitem__, args))) in absent for pos, rel, args in literals if pos):
-        return None
+        checks[max((bound_at[s] for s in args), default=-1)].append((positive, relation, _getter(args), args))
     for cmp_ in rule.comparisons():
         if cmp_.op == "neq":
             a, b = slots_of((cmp_.left, cmp_.right))
             if a == b:
                 return None
             unequal[max(bound_at[a], bound_at[b])].append((a, b))
-    needs: list[tuple] = [()] * len(order)
-    for at, by_relation in leads.items():
-        s, need = order[at], []
-        for relation, lead in by_relation.items():
-            columns = tuple(j for j, x in enumerate(lead) if x != s)
-            known = _getter(tuple(lead[j] for j in columns))
-            need.append((relation, columns, _getter(columns), known, lead.index(s)))
-        needs[at] = tuple(need)
-    steps = tuple(zip(order, map(tuple, checks), map(tuple, unequal), needs))
+    steps = tuple(zip(order, map(tuple, checks), map(tuple, unequal)))
     variables = {t.name: s for t, s in slot.items() if t.is_variable}
     head, bound = _getter(slots_of(rule.head_args)), tuple(map(bound_at.get, range(len(roots))))
     return start, (tuple(checks[-1]), tuple(unequal[-1])), steps, head, variables, bound
@@ -259,7 +246,7 @@ def rule_solutions(
         return
     vals = list(start)
     levels = []
-    for lookup, negated, unequal, _ in steps:
+    for lookup, negated, unequal in steps:
         k, relation = lookup[0], lookup[1]
         rel = delta[1] if delta is not None and k == delta[0] else relations.get(relation, _EMPTY_RELATION)
         if negated:

@@ -180,33 +180,30 @@ def body_terms(body: Iterable[Literal]) -> Iterator[Term]:
 
 
 class _Closure:
-    """Equality classes of a rule's terms under its equality atoms;
-    ``conflict`` is set when two distinct constants merge, and ``forced``
-    maps each class holding a constant to that constant."""
+    """Equality classes of a rule's terms under its equality atoms, the
+    terms themselves being the union-find nodes; ``conflict`` is set when
+    two distinct constants merge, and ``forced`` maps each class holding a
+    constant to that constant."""
 
     def __init__(self, rule: Rule):
-        self.parent: dict[tuple[str, str], tuple[str, str]] = {}
+        self.parent: dict[Term, Term] = {}
         self.conflict = False
         for t in itertools.chain(body_terms(rule.body), rule.head_args):
-            self.find(self._node(t))
+            self.find(t)
         for cmp_ in rule.comparisons():
             if cmp_.op == "eq":
-                self._union(self._node(cmp_.left), self._node(cmp_.right))
-        self.forced: dict[tuple[str, str], str] = {}
+                self._union(cmp_.left, cmp_.right)
+        self.forced: dict[Term, str] = {}
         for node in list(self.parent):
-            kind, name = node
-            if kind != "k":
+            if node.is_variable:
                 continue
             root = self.find(node)
-            if root in self.forced and self.forced[root] != name:
+            if root in self.forced and self.forced[root] != node.name:
                 self.conflict = True
-            self.forced[root] = name
+            self.forced[root] = node.name
 
-    @staticmethod
-    def _node(term: Term) -> tuple[str, str]:
-        return ("v" if term.is_variable else "k", term.name)
-
-    def find(self, node: tuple[str, str]) -> tuple[str, str]:
+    def find(self, node: Term) -> Term:
+        """The root of ``node``'s class."""
         self.parent.setdefault(node, node)
         root = node
         while self.parent[root] != root:
@@ -215,19 +212,16 @@ class _Closure:
             self.parent[node], node = root, self.parent[node]
         return root
 
-    def _union(self, a: tuple[str, str], b: tuple[str, str]) -> None:
+    def _union(self, a: Term, b: Term) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
 
-    def term_root(self, term: Term) -> tuple[str, str]:
-        return self.find(self._node(term))
-
-    def instantiate(self, terms: Iterable[Term]) -> dict[tuple[str, str], str]:
+    def instantiate(self, terms: Iterable[Term]) -> dict[Term, str]:
         """A value per class: forced classes keep their constant, and the
         other classes of ``terms``, in order of first appearance, get
         distinct fresh constants other than the forced ones."""
-        free = list(dict.fromkeys(r for r in map(self.term_root, terms) if r not in self.forced))
+        free = list(dict.fromkeys(r for r in map(self.find, terms) if r not in self.forced))
         values = dict(self.forced)
         values.update(zip(free, fresh_constants(len(free), self.forced.values())))
         return values
@@ -246,8 +240,8 @@ def ungrounded_vars(rule: Rule) -> frozenset[str]:
     grounded = set(cl.forced)
     for lit in rule.relational_literals():
         if lit.positive:
-            grounded.update(cl.term_root(t) for t in lit.args)
-    return frozenset(name for name in rule.all_vars if cl.term_root(var(name)) not in grounded)
+            grounded.update(map(cl.find, lit.args))
+    return frozenset(name for name in rule.all_vars if cl.find(var(name)) not in grounded)
 
 
 def check_safe(rules: Iterable[Rule]) -> None:
@@ -419,10 +413,6 @@ def apply_update(instance: Instance, update: Update) -> Instance:
 
 def update_size(update: Update) -> int:
     return len(update.insertions | update.deletions)
-
-
-def invert(update: Update) -> Update:
-    return Update(update.deletions, update.insertions)
 
 
 def canonical_facts(facts: Iterable[Fact]) -> tuple[Fact, ...]:

@@ -41,7 +41,16 @@ from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .classify import classify
-from .engine import _EMPTY_RELATION, _Relation, _check_instance, _index_instance, _member_test, _plan, eval_member
+from .engine import (
+    _EMPTY_RELATION,
+    _Relation,
+    _check_instance,
+    _getter,
+    _index_instance,
+    _member_test,
+    _plan,
+    eval_member,
+)
 from .model import (
     Fact,
     Instance,
@@ -299,11 +308,18 @@ def _prepare(written: tuple[Rule, ...], rules: tuple[Rule, ...], answer: str) ->
     written (a pinned copy that can never fire keeps no literal).
     ``readers`` lists the (rule, derived literal) pairs that read each
     symbol, ``goals`` the live goal rules, and ``deep`` the relations that
-    live non-goal rules read.  ``plans`` maps every (rule, first) pair of
-    the search to its plan and the step from which a rule instance of cost
-    k stops at its first completion.  For a goal rule, every step from it
-    on is a free slot whose stored literals read no relation in ``both``,
-    so that no completion adds to the label; other rules never stop."""
+    live non-goal rules read.  A rule that cannot hold has no plan, so it
+    is not live.  ``plans`` maps every (rule, first) pair of the search to
+    its plan, the step from which a rule instance of cost k stops at its
+    first completion, and the narrowing table of each step.  For a goal
+    rule, every step from the stopping one on is a free slot whose stored
+    literals read no relation in ``both``, so that no completion adds to
+    the label; other rules never stop.  A free step's narrowing table has
+    an entry per relation of its positive checks, read from the first such
+    check, as ``(relation, columns, pick, known, position)``: the columns
+    that hold other slots, the readers of those columns in a fact and of
+    their values in the assignment, and the first column holding the free
+    slot; any other step's table is empty."""
     idb = frozenset(r.head for r in rules)
     stored = [lit for r in written for lit in r.relational_literals() if lit.relation not in idb]
     both = {lit.relation for lit in stored if lit.positive} & {lit.relation for lit in stored if not lit.positive}
@@ -333,7 +349,19 @@ def _prepare(written: tuple[Rule, ...], rules: tuple[Rule, ...], answer: str) ->
                 if not both.isdisjoint(rel for _, rel, _, _ in steps[settle - 1][1]):
                     break
                 settle -= 1
-            plans[i, first] = plan, settle
+            needs = []
+            for s, checks, _ in steps:
+                leads: dict[str, tuple[int, ...]] = {}
+                for positive, relation, _, args in checks:
+                    if positive and isinstance(s, int):
+                        leads.setdefault(relation, args)
+                need = []
+                for relation, lead in leads.items():
+                    columns = tuple(j for j, x in enumerate(lead) if x != s)
+                    known = _getter(tuple(lead[j] for j in columns))
+                    need.append((relation, columns, _getter(columns), known, lead.index(s)))
+                needs.append(tuple(need))
+            plans[i, first] = plan, settle, needs
     goals = [i for i in live if rules[i].head == answer]
     deep = {lit.relation for i in live if i not in goals for lit in rules[i].relational_literals()}
     return idb, both, live, base, readers, goals, deep, plans
@@ -425,11 +453,11 @@ def _label_search(
 
     What reads the rules alone is prepared once per specialised query
     (``_prepare``): the derived symbols, the relations read both ways, the
-    live rules with their plans and stopping steps, the readers of each
-    symbol, the goal rules and the relations non-goal rules read.  What
-    reads the instance or the domain is built per search: the stored
-    facts and their index, the fresh and fixed values and their ranks, the
-    floors, the offsets and each rule's lag.
+    live rules with their plans, stopping steps and narrowing tables, the
+    readers of each symbol, the goal rules and the relations non-goal
+    rules read.  What reads the instance or the domain is built per
+    search: the stored facts and their index, the fresh and fixed values
+    and their ranks, the floors, the offsets and each rule's lag.
     """
     boolean = specialize(program, target)
     rules = boolean.rules
@@ -485,7 +513,7 @@ def _label_search(
         literal reading ``delta``."""
         relation_out = rules[i].head
         goal = relation_out == boolean.answer
-        (start, pre, steps, head, variables, bound), settle = plans[i, first]
+        (start, pre, steps, head, variables, bound), settle, needs = plans[i, first]
         values = list(start)
 
         def check(lits, neqs, label: frozenset, cost: int):
@@ -653,8 +681,8 @@ def _label_search(
             (None at a lookup) and checks, whether it is the last, the label
             and cost so far, and whether it stops at its first emission
             (cost k, from ``settle`` on)."""
-            step, lits, neqs, need = steps[s]
-            last = s + 1 == len(steps)
+            step, lits, neqs = steps[s]
+            need, last = needs[s], s + 1 == len(steps)
             if not isinstance(step, int):
                 return lookup(s, step, label, cost, u), None, lits, neqs, last, label, cost, False
             room = k - cost

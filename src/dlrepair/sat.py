@@ -1,14 +1,14 @@
 """Satisfiability deciders and the repair-existence decision.
 
 A non-recursive query with negated atoms is satisfiable iff one of its rules
-is, which reduces to an equality-closure check plus a clash test between the
-ground positive and ground negated atoms.  A positive datalog program is
-satisfiable iff it fires on the full instance over its own constants plus
-one fresh constant.  Repair existence reduces to satisfiability of the
-query specialised to the target tuple (``model.specialize``, the Boolean
-query the engine and the repair search also run): it holds on some
-instance J exactly when the update turning the input instance into J is a
-repair, so the input instance is irrelevant to existence.
+has a plan: ``engine._plan`` returns None exactly when a rule holds on no
+instance.  A positive datalog program is satisfiable iff it fires on the
+full instance over its own constants plus one fresh constant.  Repair
+existence reduces to satisfiability of the query specialised to the target
+tuple (``model.specialize``, the Boolean query the engine and the repair
+search also run): it holds on some instance J exactly when the update
+turning the input instance into J is a repair, so the input instance is
+irrelevant to existence.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import classify
-from .engine import _check_instance, eval_datalog
+from .engine import _check_instance, _plan, eval_datalog
 from .model import (
     Fact,
     Instance,
     Program,
-    RelLiteral,
     Rule,
     _Closure,
     body_terms,
@@ -51,31 +50,19 @@ class SatResult:
 
 def sat_cqneg(rule: Rule) -> SatResult:
     """Satisfiability of a single rule whose body holds only extensional
-    literals and comparisons.
-
-    Compute the equality closure of the rule's equality atoms; reject if it
-    merges two distinct constants or contradicts an inequality atom.  Each
-    class is instantiated by its constant if it has one, else by a distinct
-    fresh constant numbered by first appearance in the body; the rule is
-    satisfiable iff no ground positive atom coincides with a ground negated
-    atom, and the ground positive atoms then form a witness instance.
+    literals and comparisons: it holds on some instance iff it has a plan
+    (``engine._plan``) with every literal a check.  Each equality class is
+    then instantiated by its constant if it has one, else by a distinct
+    fresh constant numbered by first appearance in the body, and the
+    rule's ground positive atoms form a witness instance.
     """
+    if _plan(rule, frozenset()) is None:
+        return SatResult(False)
     cl = _Closure(rule)
-    if cl.conflict:
-        return SatResult(False)
-    for cmp_ in rule.comparisons():
-        if cmp_.op == "neq" and cl.term_root(cmp_.left) == cl.term_root(cmp_.right):
-            return SatResult(False)
     value = cl.instantiate(body_terms(rule.body))
-
-    def ground(lit: RelLiteral) -> Fact:
-        return Fact(lit.relation, tuple(value[cl.term_root(t)] for t in lit.args))
-
-    positives = {ground(lit) for lit in rule.relational_literals() if lit.positive}
-    negatives = {ground(lit) for lit in rule.relational_literals() if not lit.positive}
-    if positives & negatives:
-        return SatResult(False)
-    return SatResult(True, Instance(frozenset(positives)))
+    positives = [lit for lit in rule.relational_literals() if lit.positive]
+    witness = Instance.of(Fact(lit.relation, tuple(value[cl.find(t)] for t in lit.args)) for lit in positives)
+    return SatResult(True, witness)
 
 
 def sat_ucqneg(program: Program) -> SatResult:

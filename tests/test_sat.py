@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,23 +7,44 @@ from dlrepair import (
     Instance,
     NotPositiveDatalog,
     NotUcq,
+    RelLiteral,
+    Rule,
     Unsupported,
     eval_answers,
     eval_member,
+    fresh_constants,
     ma_dec,
     ma_min,
     ma_min_ucqneg,
     oracle_ma_min,
     parse_program,
+    repair_for_assignment,
     sat_cqneg,
     sat_datalog_positive,
     sat_query,
     sat_ucqneg,
     specialize,
+    var,
 )
+from dlrepair.engine import _plan
+from dlrepair.model import body_terms
 from randgen import random_instance, random_target, random_ucqneg_program
 
 TRIANGLE = parse_program("s(X,Y,Z) :- r(X,Y), r(Y,Z), !r(Z,X).")
+
+
+def satisfiable_by_search(rule) -> bool:
+    """Whether some assignment, over the rule's constants and one fresh
+    constant per variable, induces an update of the empty instance.  Any
+    satisfying assignment renames onto one of these, so the search is
+    exhaustive."""
+    names = sorted(rule.all_vars)
+    constants = sorted({t.name for t in body_terms(rule.body) if not t.is_variable})
+    domain = constants + list(fresh_constants(len(names), constants))
+    return any(
+        repair_for_assignment(rule, dict(zip(names, values)), Instance.of()) is not None
+        for values in itertools.product(domain, repeat=len(names))
+    )
 
 
 class TestSatCqneg:
@@ -56,6 +78,42 @@ class TestSatCqneg:
                 if result.satisfiable:
                     q = Program((rule,), rule.head, dict(boolean.schema))
                     assert eval_answers(q, result.witness).tuples
+
+
+    def test_agrees_with_exhaustive_search(self):
+        """Every rule of 400 random unions, half reading one relation
+        several times, and of their copies pinned to a random target."""
+        rng = random.Random(27)
+        rules = []
+        for n in range(400):
+            program = random_ucqneg_program(rng, repeat=0.5 if n % 2 else 0.0)
+            rules.extend(program.rules)
+            rules.extend(specialize(program, random_target(rng, program.arity)).rules)
+        verdicts = set()
+        for rule in rules:
+            expected = satisfiable_by_search(rule)
+            verdicts.add(expected)
+            assert sat_cqneg(rule).satisfiable == expected, rule
+            assert (_plan(rule, frozenset()) is not None) == expected, rule
+        assert verdicts == {True, False}
+
+    def test_a_plan_exists_iff_no_literal_clashes(self):
+        """A negated literal clashes with a positive one over the same
+        classes, ground or not.  ``ans :- r(X), !r(Y).`` is unsafe, so it
+        is built from model values and planned without the engine's
+        safety check."""
+        X, Y = var("X"), var("Y")
+        unsafe = Rule("ans", (), (RelLiteral("r", (X,)), RelLiteral("r", (Y,), False)))
+        for rule, holds in [
+            (parse_program("ans :- r(X), !r(X).").rules[0], False),
+            (parse_program("ans :- r(X,Y), X = Y, !r(Y,X).").rules[0], False),
+            (parse_program("ans :- r(X), p(Y), !r(Y).").rules[0], True),
+            (unsafe, True),
+        ]:
+            assert (_plan(rule, frozenset()) is not None) == holds
+            assert sat_cqneg(rule).satisfiable == holds
+            if rule is not unsafe:
+                assert (_plan(rule) is not None) == holds
 
 
 class TestSatUcqneg:

@@ -1,6 +1,7 @@
 """Checks on the source of ``dlrepair`` itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import dlrepair
@@ -50,6 +51,28 @@ def unused_imports(tree: ast.Module, filename: str):
     for name, line in bound.items():
         if name not in used:
             yield filename, name, line
+
+
+def unused_definitions(trees: dict[str, ast.Module]):
+    """``(file, name, line)`` for each top-level function or class that no
+    module of the package names outside its own definition, as a name, an
+    attribute or an imported name; an import in ``__init__.py`` exports it."""
+
+    def names(node):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                yield n.id
+            elif isinstance(n, ast.Attribute):
+                yield n.attr
+            elif isinstance(n, ast.alias):
+                yield n.name
+
+    counts = Counter(name for tree in trees.values() for name in names(tree))
+    for filename, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if counts[node.name] == Counter(names(node))[node.name]:
+                    yield filename, node.name, node.lineno
 
 
 def _functools(node, name):
@@ -155,6 +178,25 @@ def test_no_unused_imports():
 def test_the_check_sees_unused_imports():
     source = "from __future__ import annotations\nimport os.path\nimport re as regex\nfrom a import b, c\n\ndef f(x: c):\n    return x\n"
     assert [name for _, name, _ in unused_imports(ast.parse(source), "x.py")] == ["os", "regex", "b"]
+
+
+def test_every_definition_is_used_or_exported():
+    """Each top-level function and class is named elsewhere in the package
+    or exported from ``dlrepair/__init__.py``."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(Path(dlrepair.__file__).parent.glob("*.py"))}
+    assert [f"{filename}:{line} {name}" for filename, name, line in unused_definitions(trees)] == []
+
+
+def test_the_check_sees_unused_definitions():
+    trees = {
+        "__init__.py": ast.parse("from .a import exported\n"),
+        "a.py": ast.parse(
+            "def exported(): pass\n\ndef called(): pass\n\ndef unused(): return unused\n\n"
+            "class Base: pass\n\nclass Child(Base):\n    def f(self): return called()\n"
+        ),
+        "b.py": ast.parse("from .a import Child\n\ndef g(): return Child\n"),
+    }
+    assert [name for _, name, _ in unused_definitions(trees)] == ["unused", "g"]
 
 
 def test_no_function_calls_itself():
