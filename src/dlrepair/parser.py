@@ -404,7 +404,9 @@ def parse_fact(text: str, allow_fresh: bool = False) -> Fact:
 def render_constant(name: str) -> str:
     if _BARE_CONST_RE.match(name) or is_fresh_constant(name):
         return name
-    escaped = name.replace("\\", "\\\\").replace('"', '\\"')
+    # A newline is written as a backslash and a newline, which a string
+    # token reads back; a bare newline would end it.
+    escaped = name.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\\n")
     return f'"{escaped}"'
 
 

@@ -298,40 +298,34 @@ def _least_relabelling(
 def _prepare(written: tuple[Rule, ...], rules: tuple[Rule, ...], answer: str) -> tuple:
     """What ``_label_search`` reads of the rules alone, for the program's
     rules as ``written`` and the ``rules`` of its query specialised to a
-    target with goal ``answer``: ``(idb, both, live, base, readers, goals,
-    deep, plans)``.  The value is shared between searches and never
-    mutated.
+    target with goal ``answer``: ``(idb, both, live, readers, goals, deep,
+    plans)``.  The value is shared between searches and never mutated.
 
     ``live`` lists the rules that can fire, of the symbols that such rules
-    for the goal read, directly or not; ``base`` has each one's whole-body
-    plan.  ``both`` holds the stored relations read both ways by a rule as
-    written (a pinned copy that can never fire keeps no literal).
-    ``readers`` lists the (rule, derived literal) pairs that read each
-    symbol, ``goals`` the live goal rules, and ``deep`` the relations that
-    live non-goal rules read.  A rule that cannot hold has no plan, so it
-    is not live.  ``plans`` maps every (rule, first) pair of the search to
-    its plan, the step from which a rule instance of cost k stops at its
-    first completion, and the narrowing table of each step.  For a goal
-    rule, every step from the stopping one on is a free slot whose stored
-    literals read no relation in ``both``, so that no completion adds to
-    the label; other rules never stop.  A free step's narrowing table has
-    an entry per relation of its positive checks, read from the first such
-    check, as ``(relation, columns, pick, known, position)``: the columns
-    that hold other slots, the readers of those columns in a fact and of
-    their values in the assignment, and the first column holding the free
-    slot; any other step's table is empty."""
+    for the goal read, directly or not.  ``both`` holds the stored
+    relations read both ways by a rule as written (a pinned copy that can
+    never fire keeps no literal).  ``readers`` lists the (rule, derived
+    literal) pairs that read each symbol, ``goals`` the live goal rules,
+    and ``deep`` the relations that live non-goal rules read.  A rule that
+    cannot hold has no plan, so it is not live.  ``plans`` maps every
+    (rule, first) pair of the search, and (rule, None) for the whole body,
+    to its plan and the narrowing table of each step.  A free step's
+    narrowing table has an entry per relation of its positive checks, read
+    from the first such check, as ``(relation, columns, pick, known,
+    position)``: the columns that hold other slots, the readers of those
+    columns in a fact and of their values in the assignment, and the first
+    column holding the free slot; any other step's table is empty."""
     idb = frozenset(r.head for r in rules)
     stored = [lit for r in written for lit in r.relational_literals() if lit.relation not in idb]
     both = {lit.relation for lit in stored if lit.positive} & {lit.relation for lit in stored if not lit.positive}
     fires: set[int] = set()
-    base: dict[int, tuple | None] = {}
     needed, todo = set(), [answer]
     while todo:
         symbol = todo.pop()
         if symbol not in needed:
             needed.add(symbol)
             for i, rule in enumerate(rules):
-                if rule.head == symbol and base.setdefault(i, _plan(rule, idb, None)) is not None:
+                if rule.head == symbol and _plan(rule, idb, None) is not None:
                     fires.add(i)
                     todo.extend(lit.relation for lit in rule.relational_literals() if lit.relation in idb)
     live = sorted(fires)
@@ -342,15 +336,9 @@ def _prepare(written: tuple[Rule, ...], rules: tuple[Rule, ...], answer: str) ->
         for d, relation in enumerate(derived):
             readers.setdefault(relation, []).append((i, d))
         for first in (None, *range(len(derived))):
-            plan = base[i] if first is None else _plan(rules[i], idb, first)
-            steps = plan[2]
-            settle = len(steps)
-            while rules[i].head == answer and settle and isinstance(steps[settle - 1][0], int):
-                if not both.isdisjoint(rel for _, rel, _, _ in steps[settle - 1][1]):
-                    break
-                settle -= 1
+            plan = _plan(rules[i], idb, first)
             needs = []
-            for s, checks, _ in steps:
+            for s, checks, _ in plan[2]:
                 leads: dict[str, tuple[int, ...]] = {}
                 for positive, relation, _, args in checks:
                     if positive and isinstance(s, int):
@@ -361,10 +349,10 @@ def _prepare(written: tuple[Rule, ...], rules: tuple[Rule, ...], answer: str) ->
                     known = _getter(tuple(lead[j] for j in columns))
                     need.append((relation, columns, _getter(columns), known, lead.index(s)))
                 needs.append(tuple(need))
-            plans[i, first] = plan, settle, needs
+            plans[i, first] = plan, needs
     goals = [i for i in live if rules[i].head == answer]
     deep = {lit.relation for i in live if i not in goals for lit in rules[i].relational_literals()}
-    return idb, both, live, base, readers, goals, deep, plans
+    return idb, both, live, readers, goals, deep, plans
 
 
 def _label_search(
@@ -389,13 +377,13 @@ def _label_search(
     constraints; inconsistent unions and unions over the cost are dropped.
     The goal's offset is 0, so the first level that labels the target gives
     the answer.  No rule reads the goal, so it keeps only its least repair:
-    each goal label is ranked when first emitted, by the key of its least
-    relabelling, and the first that ranks least wins.  A symbol's offset
-    is the least count, over the goal rules that reach it through derived
-    literals, of the edits that the rule's ground stored literals force
-    over relations that no other live rule reads.  Those edits are in no
-    label of the symbol, so a goal label of cost k holds only its labels of
-    cost at most k - offset, all built by level k.
+    each goal label is ranked as it stands when first emitted, by the key
+    of its least relabelling, and the first that ranks least wins.  A
+    symbol's offset is the least count, over the goal rules that reach it
+    through derived literals, of the edits that the rule's ground stored
+    literals force over relations that no other live rule reads.  Those
+    edits are in no label of the symbol, so a goal label of cost k holds
+    only its labels of cost at most k - offset, all built by level k.
 
     The search keeps only values that fit the remaining cost (forward
     checking): the checks of a step reject a value whose edits cost over k.
@@ -411,24 +399,25 @@ def _label_search(
 
     Each rule's plan is walked depth first over an explicit stack, with a
     frame per entered step: its remaining options, and the label, cost and
-    fresh names in use on entry.  A goal rule instance of cost k with no
-    derived literal and no stored literal of a relation read both ways
-    left can only reach one label, the same whatever it completes with, so
-    such frames stop: an emission pops every stopping frame on top of the
-    stack.
+    fresh names in use on entry.  A goal rule instance of cost k can add no
+    edit, so all its completions have the same edits and the same key, and
+    only a strictly lesser key replaces the best: a goal rule's frame
+    entered at cost k stops at its first emission, which pops every
+    stopping frame on top of the stack.
 
-    Fresh constants are interchangeable, so labels are stored up to
-    renaming them, and a rule instance tries only the fresh constants it
-    already uses and the next unused one.  The answer is relabelled onto
-    the least fresh names in string order.  In a goal rule, the other
-    values that no assigned slot, no constraint of the label and no stored
-    fact that a literal checked from the current step on can match hold
-    are interchangeable too, but for their order: mapping them, in order,
-    onto the least of them keeps a completion's cost and lowers its key
-    and its place in the search.  So when the domain has more visible
-    constants than steps are left, a free step tries only the first of
-    them, one per step left, and a single-atom rule visits each stored
-    fact of its relation a bounded number of times per step.
+    Fresh constants are interchangeable, so the labels of other symbols
+    are stored up to renaming them, and a rule instance tries only the
+    fresh constants it already uses and the next unused one.  The answer
+    is relabelled onto the least fresh names in string order.  In a goal
+    rule, the other values that no assigned slot, no constraint of the
+    label and no stored fact that a literal checked from the current step
+    on can match hold are interchangeable too, but for their order:
+    mapping them, in order, onto the least of them keeps a completion's
+    cost and lowers its key and its place in the search.  So when the
+    domain has more visible constants than steps are left, a free step
+    tries only the first of them, one per step left, and a single-atom
+    rule visits each stored fact of its relation a bounded number of times
+    per step.
 
     The labels of a symbol are the rows of one ``engine._Relation``.  The
     label of atom ``relation(args)``, its fresh constants renamed onto the
@@ -453,15 +442,15 @@ def _label_search(
 
     What reads the rules alone is prepared once per specialised query
     (``_prepare``): the derived symbols, the relations read both ways, the
-    live rules with their plans, stopping steps and narrowing tables, the
-    readers of each symbol, the goal rules and the relations non-goal
-    rules read.  What reads the instance or the domain is built per
-    search: the stored facts and their index, the fresh and fixed values
-    and their ranks, the floors, the offsets and each rule's lag.
+    live rules with their plans and narrowing tables, the readers of each
+    symbol, the goal rules and the relations non-goal rules read.  What
+    reads the instance or the domain is built per search: the stored facts
+    and their index, the fresh and fixed values and their ranks, the
+    floors, the offsets and each rule's lag.
     """
     boolean = specialize(program, target)
     rules = boolean.rules
-    idb, both, live, base, readers, goals, deep, plans = _prepare(program.rules, rules, boolean.answer)
+    idb, both, live, readers, goals, deep, plans = _prepare(program.rules, rules, boolean.answer)
     if readers:
         check_safe(program.rules)
     present = {(f.relation, f.args) for f in instance.facts}
@@ -480,7 +469,7 @@ def _label_search(
     def floor(i: int, skip: Container[str] = ()) -> int:
         """The distinct edits that rule ``i``'s ground stored literals force
         over the relations not in ``skip``."""
-        start, (ground, _), *_ = base[i]
+        start, (ground, _), *_ = plans[i, None][0]
         facts = [(pos, (rel, get(start))) for pos, rel, get, _ in ground if rel not in skip]
         return len({fact for pos, fact in facts if (fact in present) != pos})
 
@@ -513,7 +502,7 @@ def _label_search(
         literal reading ``delta``."""
         relation_out = rules[i].head
         goal = relation_out == boolean.answer
-        (start, pre, steps, head, variables, bound), settle, needs = plans[i, first]
+        (start, pre, steps, head, variables, bound), needs = plans[i, first]
         values = list(start)
 
         def check(lits, neqs, label: frozenset, cost: int):
@@ -590,7 +579,18 @@ def _label_search(
             return label.union(added), cost
 
         def emit(label: frozenset, u: int) -> None:
+            """Rank a goal label as it stands, or append any other label with
+            its fresh constants renamed onto the first fresh names."""
             nonlocal best
+            if goal:
+                if label not in ranked:
+                    ranked.add(label)
+                    ins = [(r, a) for r, a, positive in label if positive and (r, a) not in present]
+                    dels = tuple(sorted((r, a) for r, a, positive in label if not positive and (r, a) in present))
+                    key, least = _least_relabelling(ins, dels, names, is_fresh)
+                    if best is None or key < best[0]:
+                        best = key, least, i, None if readers else {x: values[s] for x, s in variables.items()}
+                return
             args = head(values)
             order = [a for a in args if a in is_fresh]
             if u:
@@ -598,26 +598,11 @@ def _label_search(
                 for c in sorted(label, key=lambda c: (c[0], wild[c], c)):
                     order.extend(a for a in c[1] if a in is_fresh)
             moved = dict.fromkeys(order)
-            n = len(moved)
-            if not readers:
-                # The assignment's other fresh constants follow, so that
-                # renaming it stays one-to-one.
-                moved.update((v, None) for v in values if v in is_fresh)
-            rho = dict(zip(moved, fresh))
-            rho = {a: b for a, b in rho.items() if a != b}
+            rho = {a: b for a, b in zip(moved, fresh) if a != b}
             if rho:
                 args = tuple(rho.get(a, a) for a in args)
                 label = frozenset((r, tuple(rho.get(a, a) for a in c), pos) for r, c, pos in label)
-            if relation_out != boolean.answer:
-                out.append((relation_out, args, label, n))
-            elif label not in ranked:
-                ranked.add(label)
-                ins = [(r, a) for r, a, positive in label if positive and (r, a) not in present]
-                dels = tuple(sorted((r, a) for r, a, positive in label if not positive and (r, a) in present))
-                key, least = _least_relabelling(ins, dels, names, is_fresh)
-                if best is None or key < best[0]:
-                    assignment = None if readers else {x: rho.get(values[s], values[s]) for x, s in variables.items()}
-                    best = key, least, i, assignment
+            out.append((relation_out, args, label, len(moved)))
 
         def renamings(args: tuple, child: frozenset, n: int, columns: tuple, bound: tuple, label, cost, u):
             """Yield ``(args, r, u)`` for each map of a row's ``n`` fresh
@@ -679,12 +664,12 @@ def _label_search(
         def frame(s: int, label: frozenset, cost: int, u: int) -> tuple:
             """The search state entered at step ``s``: its options, its slot
             (None at a lookup) and checks, whether it is the last, the label
-            and cost so far, and whether it stops at its first emission
-            (cost k, from ``settle`` on)."""
+            and cost so far, and whether it stops at its first emission (a
+            goal rule's frame entered at cost k, which no edit can follow)."""
             step, lits, neqs = steps[s]
-            need, last = needs[s], s + 1 == len(steps)
+            need, last, stop = needs[s], s + 1 == len(steps), goal and cost == k
             if not isinstance(step, int):
-                return lookup(s, step, label, cost, u), None, lits, neqs, last, label, cost, False
+                return lookup(s, step, label, cost, u), None, lits, neqs, last, label, cost, stop
             room = k - cost
             if len(need) > room:
                 options = narrow(need, label, room, u)
@@ -692,7 +677,7 @@ def _label_search(
                 options = spare(s, label, u)
             else:
                 options = choices(u)
-            return iter(options), step, lits, neqs, last, label, cost, room == 0 and s >= settle
+            return iter(options), step, lits, neqs, last, label, cost, stop
 
         # A first frame checks what is ground from the start, then one frame
         # per step entered follows, so step s has frame s + 1.

@@ -8,6 +8,9 @@ solved with ``dlrepair.ma_min``:
   several times or repeat a literal;
 * ``ucq-constants``: over the digit constants ``1``, ``2``, which sort
   before the fresh names, with up to five unrelated facts ``u(k)``;
+* ``ucq-symmetric``: unary relations ``p``, ``q`` only, ``repeat=0.9``, up
+  to six literals over four variables, and an empty instance on every
+  other solve, so that many repairs tie under swaps of fresh constants;
 * ``datalog``: ``random_datalog_program`` with ``extra_shapes``, positive
   and semi-positive in turn, ``answer_edge`` on two programs in three, at
   budget 2 or 3.
@@ -36,6 +39,7 @@ from typing import Iterator
 import dlrepair
 from dlrepair import Fact, Instance, ma_min, render_fact
 from randgen import (
+    UNARY_SCHEMA,
     random_datalog_instance,
     random_datalog_program,
     random_instance,
@@ -43,7 +47,7 @@ from randgen import (
     random_ucqneg_program,
 )
 
-KINDS = ("ucq", "ucq-repeat", "ucq-constants", "datalog")
+KINDS = ("ucq", "ucq-repeat", "ucq-constants", "ucq-symmetric", "datalog")
 
 
 def draw(kind: str, i: int, rng: random.Random):
@@ -54,6 +58,15 @@ def draw(kind: str, i: int, rng: random.Random):
         instance = random_datalog_instance(rng, max_facts=4, consts=consts)
         return program, instance, random_target(rng, program.arity, consts), rng.choice((2, 3))
     consts = ("1", "2") if kind == "ucq-constants" else ("a", "b")
+    if kind == "ucq-symmetric":
+        program = random_ucqneg_program(
+            rng, max_rules=2, max_literals=6, max_vars=4, consts=consts, schema=UNARY_SCHEMA, repeat=0.9
+        )
+        if i // len(KINDS) % 2:
+            instance = Instance(frozenset())
+        else:
+            instance = random_instance(rng, max_facts=5, consts=consts, schema=UNARY_SCHEMA)
+        return program, instance, random_target(rng, program.arity, consts), None
     repeat = 0.5 if kind == "ucq-repeat" else 0.0
     program = random_ucqneg_program(rng, max_rules=2, max_literals=4, max_vars=3, consts=consts, repeat=repeat)
     instance = random_instance(rng, max_facts=5, consts=consts)

@@ -284,6 +284,17 @@ class TestRoundTrip:
         for target in [(), ("a",), ("a", "b c")]:
             assert parse_tuple(render_tuple(target)) == target
 
+    @pytest.mark.parametrize("value", ["a\nb", "\n", 'x\\\n"y"\n'])
+    def test_newline_in_a_constant(self, value):
+        # A bare newline ends a string, so it is written after a backslash.
+        instance = Instance.of([Fact("r", (value, "b")), Fact("p", (value,))])
+        assert parse_instance(render_instance(instance)) == instance
+        assert parse_fact(render_fact(Fact("r", (value, "b")))) == Fact("r", (value, "b"))
+        assert parse_tuple(render_tuple((value, "b"))) == (value, "b")
+        body = (RelLiteral("r", (var("X"), var("Y")), True), Comparison("neq", var("Y"), const(value)))
+        program = make_program([Rule("ans", (var("X"),), body)], "ans")
+        assert parse_program(render_program(program)) == program
+
     def test_fact_with_fresh(self):
         fact = Fact("r", ("_c0", "b"))
         assert parse_fact(render_fact(fact), allow_fresh=True) == fact

@@ -78,6 +78,19 @@ def assert_reference_repair(program, instance, target, result):
         assert target in reference_answers(program, repaired)[program.answer], (program, instance, target)
 
 
+def count_rankings(monkeypatch):
+    """A list that grows by one each time the label search ranks a goal
+    label, by wrapping ``_least_relabelling``."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _least_relabelling(*args)
+
+    monkeypatch.setattr("dlrepair.repair._least_relabelling", counting)
+    return calls
+
+
 class TestRepairForAssignment:
     def test_insert_only(self):
         rule = parse_program("ans(X,Y) :- r(X,Y).").rules[0]
@@ -215,6 +228,21 @@ class TestUcqSolver:
         assert (result.status, result.size) == ("found", 1)
         assert result.repair == Update.of(facts("p(a,c0)"))
         assert result.witness_assignment == {"X": "a", "Y": "c0"}
+
+    def test_goal_instances_at_the_level_cost_stop_at_their_first_completion(self, monkeypatch):
+        # p(X) is an insertion, so at level 1 an instance is at the level's
+        # cost once X is set: r(Y), q(Z) and !r(Z) can add no edit, and each
+        # of the 2n + 1 values of X ranks one label, not one per (Y, Z),
+        # although r is read both ways.
+        program = parse_program("ans :- p(X), r(Y), q(Z), !r(Z).")
+        instance = parse_instance("".join(f"r(a{j}). q(b{j}).\n" for j in range(40)))
+        rankings = count_rankings(monkeypatch)
+        result = ma_min(program, instance, ())
+        assert (result.status, result.repair) == ("found", Update.of(facts("p(_c0)")))
+        assert result.witness_assignment == {"X": "_c0", "Y": "a0", "Z": "b0"}
+        assert len(rankings) <= 2 * 40 + 1
+        small = parse_instance("".join(f"r(a{j}). q(b{j}).\n" for j in range(4)))
+        assert oracle_ma_min(program, small, ()).repair == ma_min(program, small, ()).repair
 
 
 class TestProjectionFree:
@@ -648,6 +676,19 @@ class TestSpDatalog:
         program = parse_program("ans(X) :- s(X). ans(X) :- s(X), p(X), q(X). s(X) :- r(X). r(X) :- a(X). @answer ans.")
         result = ma_min_spdatalog(program, Instance.of(), ("t",), 3)
         assert (result.status, result.repair.insertions) == ("found", {Fact("a", ("t",))})
+
+    def test_a_goal_lookup_at_the_level_cost_stops_at_its_first_row(self, monkeypatch):
+        # p(a) is the answer rule's one edit, so at level 1 its lookup of t
+        # is entered at the level's cost and ranks one label, not one per
+        # stored edge e(cj,dj), although e is read both ways.
+        program = parse_program("t(X,Y) :- e(X,Y), !e(Y,X). ans :- p(a), t(Y,Z). @answer ans.")
+        instance = parse_instance("".join(f"e(c{j},d{j}).\n" for j in range(100)))
+        rankings = count_rankings(monkeypatch)
+        result = ma_min(program, instance, (), budget=2)
+        assert (result.status, result.repair) == ("found", Update.of(facts("p(a)")))
+        assert len(rankings) == 1
+        small = parse_instance("".join(f"e(c{j},d{j}).\n" for j in range(4)))
+        assert oracle_ma_min(program, small, (), budget=2).repair == ma_min(program, small, (), budget=2).repair
 
     @pytest.mark.parametrize(
         "answer, data",
