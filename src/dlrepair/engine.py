@@ -7,11 +7,10 @@ lookups and checks, which the engine and the repair search
 (``repair._label_search``, over edit labels) both walk over an explicit
 stack, so neither recurses with the length of a rule.
 Membership runs the query specialised to the target (``model.specialize``)
-after checking the program and instance once, as written (``_member_test``):
-a non-recursive query stops at the first solution of a pinned rule, and a
-datalog program computes its goal's fixpoint.  Only the brute-force oracle
-tests candidate instances here; the datalog solvers call ``eval_member``
-once to check the repair they return.
+after checking the program and instance once, as written (``_member_test``),
+through one fixpoint that stops at the goal's first tuple, whatever the
+fragment.  Only the brute-force oracle tests candidate instances here; the
+datalog solvers call ``eval_member`` once to check the repair they return.
 """
 
 from __future__ import annotations
@@ -303,28 +302,35 @@ def _readers(rules: tuple[Rule, ...]) -> dict[str, list[tuple[Rule, int]]]:
     return readers
 
 
-def _saturate(program: Program, facts: Iterable[Fact]) -> dict[str, _Relation]:
+def _saturate(program: Program, facts: Iterable[Fact], goal: bool = False) -> dict[str, _Relation]:
     """The relations of ``facts``, with those ``program`` derives (replacing
     any stored ones) grown from empty to their least fixpoint.
 
     The first round fires every rule in full; later rounds fire only the
     literals that read a symbol with new tuples, on those tuples.  Each
     round reads the derived relations as they stood when it began; its new
-    tuples are added once it ends.
+    tuples are added once it ends.  With ``goal`` set, it stops once
+    ``program.answer`` holds a tuple, leaving the other relations partial.
     """
     relations = _index_instance(facts)
     relations.update((sym, _Relation()) for sym in program.idb)
     readers = _readers(program.rules)
+    answer = program.answer if goal else None
 
-    def fire(rule: Rule, new: dict[str, set[tuple[str, ...]]], delta=None) -> None:
+    def fire(rule: Rule, new: dict[str, set[tuple[str, ...]]], delta=None) -> bool:
+        """Adds the rule's unseen head tuples to ``new``; True once it has stopped at the goal."""
         seen = relations[rule.head].tuples
         for head in rule_solutions(rule, relations, delta=delta):
             if head not in seen:
+                if rule.head == answer:
+                    relations[answer].add(head)
+                    return True
                 new.setdefault(rule.head, set()).add(head)
+        return False
 
     delta: dict[str, set[tuple[str, ...]]] = {}
-    for rule in program.rules:
-        fire(rule, delta)
+    if any(fire(rule, delta) for rule in program.rules):
+        return relations
 
     while delta:
         for sym, tuples in delta.items():
@@ -333,8 +339,8 @@ def _saturate(program: Program, facts: Iterable[Fact]) -> dict[str, _Relation]:
         new: dict[str, set[tuple[str, ...]]] = {}
         for sym, tuples in delta.items():
             view = _Relation(tuples)
-            for rule, k in readers.get(sym, ()):
-                fire(rule, new, delta=(k, view))
+            if any(fire(rule, new, delta=(k, view)) for rule, k in readers.get(sym, ())):
+                return relations
         delta = new
     return relations
 
@@ -381,20 +387,17 @@ def _member_test(
     """Whether the target is in the answer, as a test of fact sets that only
     add schema facts to ``instance`` or delete some of its facts: the program
     and ``instance`` are checked here, once, as written.  The test runs the
-    query specialised to the target (``specialize``): a non-recursive query
-    holds once a pinned rule has a solution, and a datalog program computes
-    its goal's fixpoint, after its rules are checked safe as written.
+    query specialised to the target (``specialize``) until its goal has a
+    tuple (``_saturate``), so a non-recursive query stops at the first
+    solution of a pinned rule.  A datalog program's rules are checked safe
+    as written; a union's pinned rules are checked as they are planned.
     """
     boolean = specialize(program, target)
     _datalog_guard(program)
     _check_instance(program, instance.facts)
-    if classify(program).is_ucq:
-        def holds(facts: Iterable[Fact]) -> bool:
-            relations = _index_instance(facts)
-            return any(any(True for _ in rule_solutions(rule, relations)) for rule in boolean.rules)
-        return holds
-    check_safe(program.rules)
-    return lambda facts: bool(_saturate(boolean, facts)[boolean.answer].tuples)
+    if not classify(program).is_ucq:
+        check_safe(program.rules)
+    return lambda facts: bool(_saturate(boolean, facts, True)[boolean.answer].tuples)
 
 
 def eval_member(program: Program, instance: Instance, target: tuple[str, ...]) -> bool:

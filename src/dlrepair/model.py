@@ -217,15 +217,6 @@ class _Closure:
         if ra != rb:
             self.parent[ra] = rb
 
-    def instantiate(self, terms: Iterable[Term]) -> dict[Term, str]:
-        """A value per class: forced classes keep their constant, and the
-        other classes of ``terms``, in order of first appearance, get
-        distinct fresh constants other than the forced ones."""
-        free = list(dict.fromkeys(r for r in map(self.find, terms) if r not in self.forced))
-        values = dict(self.forced)
-        values.update(zip(free, fresh_constants(len(free), self.forced.values())))
-        return values
-
 
 # Bounded, since a long-lived process may check many distinct rules.
 @functools.lru_cache(maxsize=4096)

@@ -2,8 +2,9 @@
 
 A non-recursive query with negated atoms is satisfiable iff one of its rules
 has a plan: ``engine._plan`` returns None exactly when a rule holds on no
-instance.  A positive datalog program is satisfiable iff it fires on the
-full instance over its own constants plus one fresh constant.  Repair
+instance, and a plan names a witness.  A positive datalog program is
+satisfiable iff it fires on the full instance over its own constants plus
+one fresh constant, a fixpoint stopped at the answer's first tuple.  Repair
 existence reduces to satisfiability of the query specialised to the target
 tuple (``model.specialize``, the Boolean query the engine and the repair
 search also run): it holds on some instance J exactly when the update
@@ -16,13 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import classify
-from .engine import _check_instance, _plan, eval_datalog
+from .engine import _check_instance, _plan, _saturate
 from .model import (
     Fact,
     Instance,
     Program,
     Rule,
-    _Closure,
     body_terms,
     facts_over,
     fresh_constants,
@@ -51,18 +51,23 @@ class SatResult:
 def sat_cqneg(rule: Rule) -> SatResult:
     """Satisfiability of a single rule whose body holds only extensional
     literals and comparisons: it holds on some instance iff it has a plan
-    (``engine._plan``) with every literal a check.  Each equality class is
-    then instantiated by its constant if it has one, else by a distinct
-    fresh constant numbered by first appearance in the body, and the
-    rule's ground positive atoms form a witness instance.
+    (``engine._plan``) with every literal a check.  The plan's start holds
+    the forced constants; each other class of the body gets a distinct
+    fresh constant, numbered by the first appearance of its variables in
+    the body, and the plan's positive checks, read on those values, form a
+    witness instance.
     """
-    if _plan(rule, frozenset()) is None:
+    plan = _plan(rule, frozenset())
+    if plan is None:
         return SatResult(False)
-    cl = _Closure(rule)
-    value = cl.instantiate(body_terms(rule.body))
-    positives = [lit for lit in rule.relational_literals() if lit.positive]
-    witness = Instance.of(Fact(lit.relation, tuple(value[cl.find(t)] for t in lit.args)) for lit in positives)
-    return SatResult(True, witness)
+    start, pre, steps, _, variables, _ = plan
+    slots = dict.fromkeys(variables[t.name] for t in body_terms(rule.body) if t.is_variable)
+    free = [s for s in slots if start[s] is None]
+    values = list(start)
+    for s, value in zip(free, fresh_constants(len(free), (v for v in start if v is not None))):
+        values[s] = value
+    ground = (check for checks in (pre[0], *(step[1] for step in steps)) for check in checks)
+    return SatResult(True, Instance.of(Fact(name, get(values)) for positive, name, get, _ in ground if positive))
 
 
 def sat_ucqneg(program: Program) -> SatResult:
@@ -76,22 +81,17 @@ def sat_ucqneg(program: Program) -> SatResult:
     return SatResult(False)
 
 
-def full_instance(program: Program) -> Instance:
-    """All facts over the program's constants and one fresh constant, for
-    every extensional symbol."""
-    constants = program.constants()
-    domain = sorted(constants | set(fresh_constants(1, constants)))
-    return Instance(frozenset(facts_over(program.schema, program.schema, domain)))
-
-
 def sat_datalog_positive(program: Program) -> SatResult:
     """A positive program is monotone, so it is satisfiable iff it fires on
-    the full instance over its own constants plus one fresh constant."""
+    the full instance: every fact, for every extensional symbol, over the
+    program's constants and one fresh constant.  The fixpoint stops at the
+    answer's first tuple (``engine._saturate``)."""
     if not classify(program).is_positive_datalog:
         raise NotPositiveDatalog("program contains negation or inequality atoms")
-    witness = full_instance(program)
-    answers = eval_datalog(program, witness)[program.answer]
-    if answers.tuples:
+    constants = program.constants()
+    domain = sorted(constants | set(fresh_constants(1, constants)))
+    witness = Instance(frozenset(facts_over(program.schema, program.schema, domain)))
+    if _saturate(program, witness.facts, True)[program.answer].tuples:
         return SatResult(True, witness)
     return SatResult(False)
 

@@ -16,8 +16,20 @@ solved with ``dlrepair.ma_min``:
   budget 2 or 3.
 
 One line per solve gives its index, its kind and a hash of its status,
-sorted insertions, sorted deletions and witness.  ``dlrepair`` is imported
-from ``PYTHONPATH``, so two checkouts compare with one diff:
+sorted insertions, sorted deletions and witness.
+
+A satisfiability section follows, drawn from its own generator seeded
+alike, with one line per decision in this cycle:
+
+* ``sat-ucq``, ``sat-ucq-repeat``, ``sat-ucq-symmetric``: a random union
+  with ``repeat`` 0, 0.5 and 0.9, and its copy specialised to a random
+  target, each through ``sat_query``, hashed with the rendered witness;
+* ``sat-datalog``: a random positive datalog program (``extra_shapes``,
+  ``answer_edge`` on every other one), hashing ``sat_query``'s status and
+  witness size and ``ma_dec`` for a random target and instance.
+
+``dlrepair`` is imported from ``PYTHONPATH``, so two checkouts compare
+with one diff:
 
     PYTHONPATH=src python tests/solve_digest.py > new.txt
     PYTHONPATH=../old/src python tests/solve_digest.py > old.txt
@@ -31,13 +43,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import random
 import sys
 from pathlib import Path
 from typing import Iterator
 
 import dlrepair
-from dlrepair import Fact, Instance, ma_min, render_fact
+from dlrepair import Fact, Instance, ma_dec, ma_min, render_fact, render_instance, sat_query, specialize
 from randgen import (
     UNARY_SCHEMA,
     random_datalog_instance,
@@ -48,6 +61,7 @@ from randgen import (
 )
 
 KINDS = ("ucq", "ucq-repeat", "ucq-constants", "ucq-symmetric", "datalog")
+SAT_KINDS = {"sat-ucq": 0.0, "sat-ucq-repeat": 0.5, "sat-ucq-symmetric": 0.9, "sat-datalog": None}
 
 
 def draw(kind: str, i: int, rng: random.Random):
@@ -91,13 +105,36 @@ def digest_lines(seed: int, count: int) -> Iterator[str]:
         yield f"{i} {kind} {digest}"
 
 
+def sat_lines(seed: int, count: int) -> Iterator[str]:
+    """One ``index kind hash`` line per satisfiability draw."""
+    rng = random.Random(seed)
+    kinds = list(SAT_KINDS.items())
+    for i in range(count):
+        kind, repeat = kinds[i % len(kinds)]
+        if repeat is None:
+            program = random_datalog_program(rng, False, True, i // len(kinds) % 2 == 0)
+            result = sat_query(program)
+            target = random_target(rng, program.arity, ("a", "b", "c"))
+            found = ma_dec(program, random_datalog_instance(rng, max_facts=4), target)
+            decided = result.satisfiable, result.witness and len(result.witness), found
+        else:
+            program = random_ucqneg_program(rng, repeat=repeat)
+            decided = tuple(
+                (result.satisfiable, result.witness and render_instance(result.witness))
+                for result in map(sat_query, (program, specialize(program, random_target(rng, program.arity))))
+            )
+        digest = hashlib.sha256(repr(decided).encode()).hexdigest()[:16]
+        yield f"{i} {kind} {digest}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--count", type=int, default=4000, help="solves (default: 4000)")
+    parser.add_argument("--sat-count", type=int, default=2000, help="satisfiability draws (default: 2000)")
     args = parser.parse_args(argv)
     print(f"dlrepair from {Path(dlrepair.__file__).resolve().parent}", file=sys.stderr)
-    for line in digest_lines(args.seed, args.count):
+    for line in itertools.chain(digest_lines(args.seed, args.count), sat_lines(args.seed, args.sat_count)):
         print(line)
     return 0
 

@@ -21,6 +21,7 @@ from dlrepair import (
     rename,
     var,
 )
+from dlrepair import engine
 from randgen import (
     random_datalog_instance,
     random_datalog_program,
@@ -50,6 +51,25 @@ class TestEvalMember:
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
             eval_member(TRIANGLE, Instance.of(), ("1", "2"))
+
+    def test_a_reachable_target_stops_the_fixpoint_at_the_goal(self, monkeypatch):
+        """On a 300-edge path, the pinned copy of the base rule derives the
+        goal in the first round, so membership fires two rules where the
+        whole fixpoint fires 604.  A false answer still needs the whole
+        fixpoint, and ``eval_datalog`` never stops early."""
+        program = parse_program("t(X,Y) :- e(X,Y). t(X,Y) :- t(X,Z), e(Z,Y), !blocked(Z). @answer t.")
+        instance = Instance.of(Fact("e", (f"v{i}", f"v{i + 1}")) for i in range(300))
+        calls, rule_solutions = [], engine.rule_solutions
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return rule_solutions(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "rule_solutions", counting)
+        assert eval_member(program, instance, ("v0", "v1"))
+        assert len(calls) <= 4
+        assert not eval_member(program, instance, ("v1", "v0"))
+        assert len(eval_datalog(program, instance)["t"].tuples) == 300 * 301 // 2
 
 
 class TestUnsafeRules:

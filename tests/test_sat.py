@@ -66,6 +66,20 @@ class TestSatCqneg:
         rule = parse_program("ans() :- r(X,Y), X = Y, X != Y.").rules[0]
         assert not sat_cqneg(rule).satisfiable
 
+    def test_fresh_constants_follow_body_order(self):
+        """Plan slots are numbered head first, so the head's order of
+        variables must not number the fresh constants."""
+        for text, expected in [
+            ("ans(Z,Y) :- r(Y,Z), s(Z,W).", {("r", ("_c0", "_c1")), ("s", ("_c1", "_c2"))}),
+            ("ans(Y) :- r(X,Y), X = a, s(Y,Z), Z != Y.", {("r", ("a", "_c0")), ("s", ("_c0", "_c1"))}),
+            (
+                "ans(W,X) :- r(X,Y), X = Y, s(Y,W), t(W,c0).",
+                {("r", ("_c0", "_c0")), ("s", ("_c0", "_c1")), ("t", ("_c1", "c0"))},
+            ),
+        ]:
+            result = sat_cqneg(parse_program(text).rules[0])
+            assert {(f.relation, f.args) for f in result.witness.facts} == expected, text
+
     def test_witness_passes_evaluation(self):
         from dlrepair import Program
 

@@ -77,6 +77,17 @@ class TestExtractH:
         with pytest.raises(NotARepair):
             extract_h(EXAMPLE, Update.of([Fact("p", ("b1",))]))
 
+    def test_a_cover_with_many_satisfying_assignments_is_checked_at_the_first(self):
+        """Four sets that each hold all 20 elements, all chosen: the pinned
+        rule has 4^20 solutions, and membership stops at the first."""
+        cover = make_instance([(f"s{j}", [f"u{i}" for i in range(20)]) for j in range(4)])
+        program, instance, target = reduce_f(cover)
+        update = Update.of(Fact("p", (f"b{j}",)) for j in range(1, 5))
+        start = time.perf_counter()
+        assert eval_member(program, apply_update(instance, update), target)
+        assert extract_h(cover, update) == ("s0", "s1", "s2", "s3")
+        assert time.perf_counter() - start < 1.0
+
     def test_insertion_of_a_stored_fact(self):
         with pytest.raises(NotARepair, match="insertion already present"):
             extract_h(EXAMPLE, Update.of([Fact("f", ("b1", "a1")), Fact("p", ("b1",))]))
