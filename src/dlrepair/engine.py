@@ -115,7 +115,9 @@ def _check_instance(program: Program, facts: Iterable[Fact]) -> None:
 
 # Bounded, since a long-lived process may evaluate many distinct programs.
 @functools.lru_cache(maxsize=4096)
-def _plan(rule: Rule, joined: frozenset[str] | None = None, first: int | None = None) -> tuple | None:
+def _plan(
+    rule: Rule, joined: frozenset[str] | None = None, first: int | None = None, free: tuple[int, ...] = ()
+) -> tuple | None:
     """How to ground ``rule``, or None when no assignment can satisfy it:
     its equality atoms equate two distinct constants, a ``!=`` atom
     compares a class with itself, or a positive and a negated relational
@@ -143,7 +145,9 @@ def _plan(rule: Rule, joined: frozenset[str] | None = None, first: int | None = 
     ``key`` slots' values at ``columns`` and copies row positions into
     slots by the ``binds`` pairs (position, slot), ``repeats`` telling
     whether a slot is bound twice.  The slots that no lookup binds follow,
-    each a free step, the slot itself, to give each domain value.
+    each a free step, the slot itself, to give each domain value: the
+    ``free`` slots first, in that order (the label search chooses it per
+    instance), then the others by slot number.
 
     Each step is ``(step, checks, unequal)``, and ``pre`` is ``(checks,
     unequal)``.  The checks are every other relational literal, as
@@ -201,7 +205,7 @@ def _plan(rule: Rule, joined: frozenset[str] | None = None, first: int | None = 
                         if unbound[other] > 0:
                             unbound[other] -= 1
                             heapq.heappush(heap, (unbound[other], other))
-    for s in range(len(roots)):
+    for s in itertools.chain(free, range(len(roots))):
         if s not in bound_at:
             bound_at[s] = len(order)
             order.append(s)

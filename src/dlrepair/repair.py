@@ -35,6 +35,7 @@ and within it the order of the search decides.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
@@ -293,13 +294,50 @@ def _least_relabelling(
     return (tuple(key), dels), {a: rho[a] for a in moved}
 
 
+def _fail_first(free: tuple[int, ...], table: tuple, index: Mapping[str, _Relation]) -> tuple[int, ...]:
+    """The order of a rule's ``free`` slots for one search, most constrained
+    first: among the slots not yet placed, a linked slot, which some check
+    reads with no other unplaced slot, before any other; then the fewest
+    stored rows over the slot's checks; then the lowest slot.  ``table``
+    lists the positive stored checks that read a free slot, as ``(relation,
+    columns, key, reads)``: a check's rows are those of ``index`` holding
+    ``key`` at ``columns``, its start-ground columns, and ``reads`` are the
+    free slots it reads."""
+    rows = dict.fromkeys(free, 0)
+    checks: dict[int, list[int]] = {s: [] for s in free}
+    # The unplaced slots that each check reads.
+    left = []
+    for c, (relation, columns, key, reads) in enumerate(table):
+        n = len(index.get(relation, _EMPTY_RELATION).lookup(columns, key))
+        for s in reads:
+            rows[s] += n
+            checks[s].append(c)
+        left.append(len(reads))
+    # (unlinked, rows, slot) entries; a slot pushed again once linked.
+    heap = [(all(left[c] > 1 for c in checks[s]), rows[s], s) for s in free]
+    heapq.heapify(heap)
+    order: dict[int, None] = {}
+    while heap:
+        s = heapq.heappop(heap)[2]
+        if s not in order:
+            order[s] = None
+            for c in checks[s]:
+                left[c] -= 1
+                if left[c] == 1:
+                    t = next(t for t in table[c][3] if t not in order)
+                    heapq.heappush(heap, (False, rows[t], t))
+    return tuple(order)
+
+
 # Bounded, since a long-lived process may search many distinct queries.
 @functools.lru_cache(maxsize=1024)
-def _prepare(written: tuple[Rule, ...], rules: tuple[Rule, ...], answer: str) -> tuple:
+def _prepare(written: tuple[Rule, ...], rules: tuple[Rule, ...], answer: str, orders: tuple = ()) -> tuple:
     """What ``_label_search`` reads of the rules alone, for the program's
     rules as ``written`` and the ``rules`` of its query specialised to a
-    target with goal ``answer``: ``(idb, both, live, readers, goals, deep,
-    plans)``.  The value is shared between searches and never mutated.
+    target with goal ``answer``, with the free slots of each rule ``i`` of
+    the ``(i, free)`` pairs of ``orders`` in that order: ``(idb, both,
+    live, readers, goals, deep, many, plans)``.  The value is shared between
+    searches and never mutated.
 
     ``live`` lists the rules that can fire, of the symbols that such rules
     for the goal read, directly or not.  ``both`` holds the stored
@@ -307,7 +345,10 @@ def _prepare(written: tuple[Rule, ...], rules: tuple[Rule, ...], answer: str) ->
     never fire keeps no literal).  ``readers`` lists the (rule, derived
     literal) pairs that read each symbol, ``goals`` the live goal rules,
     and ``deep`` the relations that live non-goal rules read.  A rule that
-    cannot hold has no plan, so it is not live.  ``plans`` maps every
+    cannot hold has no plan, so it is not live.  ``many`` lists the live
+    rules with two or more free steps, as ``(i, free, table)``: the free
+    slots in slot order and what ``_fail_first`` counts to order them,
+    whatever ``orders`` holds.  ``plans`` maps every
     (rule, first) pair of the search, and (rule, None) for the whole body,
     to its plan and the narrowing table of each step.  A free step's
     narrowing table has an entry per relation of its positive checks, read
@@ -330,13 +371,26 @@ def _prepare(written: tuple[Rule, ...], rules: tuple[Rule, ...], answer: str) ->
                     todo.extend(lit.relation for lit in rule.relational_literals() if lit.relation in idb)
     live = sorted(fires)
     readers: dict[str, list[tuple[int, int]]] = {}
+    many = []
     plans: dict[tuple[int, int | None], tuple] = {}
+    ordered = dict(orders)
     for i in live:
+        start, _, steps, _, _, bound = _plan(rules[i], idb, None)
+        free = tuple(s for s, _, _ in steps if isinstance(s, int))
+        if len(free) > 1:
+            table, is_free = [], set(free)
+            for _, checks, _ in steps:
+                for positive, relation, _, args in checks:
+                    reads = tuple(dict.fromkeys(x for x in args if x in is_free))
+                    if positive and reads:
+                        columns = tuple(j for j, x in enumerate(args) if bound[x] < 0)
+                        table.append((relation, columns, tuple(start[args[j]] for j in columns), reads))
+            many.append((i, free, tuple(table)))
         derived = [lit.relation for lit in rules[i].relational_literals() if lit.relation in idb]
         for d, relation in enumerate(derived):
             readers.setdefault(relation, []).append((i, d))
         for first in (None, *range(len(derived))):
-            plan = _plan(rules[i], idb, first)
+            plan = _plan(rules[i], idb, first, ordered.get(i, ()))
             needs = []
             for s, checks, _ in plan[2]:
                 leads: dict[str, tuple[int, ...]] = {}
@@ -352,7 +406,7 @@ def _prepare(written: tuple[Rule, ...], rules: tuple[Rule, ...], answer: str) ->
             plans[i, first] = plan, needs
     goals = [i for i in live if rules[i].head == answer]
     deep = {lit.relation for i in live if i not in goals for lit in rules[i].relational_literals()}
-    return idb, both, live, readers, goals, deep, plans
+    return idb, both, live, readers, goals, deep, many, plans
 
 
 def _label_search(
@@ -396,6 +450,14 @@ def _label_search(
     index or the label's insertions.  With a budget, the search returns
     None at once when the ground stored literals of every goal rule force
     more edits than the budget.
+
+    A rule's free steps, the slots that no lookup binds, come in the order
+    that ``_fail_first`` picks once per search from the instance index:
+    first a slot that some positive stored literal reads with no other
+    unplaced free slot, which keeps a join chain in order, then the fewest
+    stored rows for its literals.  On set-cover reductions this puts the
+    elements with the fewest covering sets first, whose forced insertions
+    fill the label early and narrow every later step.
 
     Each rule's plan is walked depth first over an explicit stack, with a
     frame per entered step: its remaining options, and the label, cost and
@@ -445,21 +507,30 @@ def _label_search(
     live rules with their plans and narrowing tables, the readers of each
     symbol, the goal rules and the relations non-goal rules read.  What
     reads the instance or the domain is built per search: the stored facts
-    and their index, the fresh and fixed values and their ranks, the
-    floors, the offsets and each rule's lag.
+    and their index, the order of the free steps of each rule with two or
+    more, the fresh and fixed values and their ranks, the floors, the
+    offsets and each rule's lag.  Plans with free steps out of slot order
+    are prepared once per query and set of orders.
     """
     boolean = specialize(program, target)
     rules = boolean.rules
-    idb, both, live, readers, goals, deep, plans = _prepare(program.rules, rules, boolean.answer)
+    idb, both, live, readers, goals, deep, many, plans = _prepare(program.rules, rules, boolean.answer)
     if readers:
         check_safe(program.rules)
+    index = _index_instance(instance.facts)
+    orders = []
+    for i, free, table in many:
+        order = _fail_first(free, table, index)
+        if order != free:
+            orders.append((i, order))
+    if orders:
+        plans = _prepare(program.rules, rules, boolean.answer, tuple(orders))[-1]
     present = {(f.relation, f.args) for f in instance.facts}
     is_fresh = frozenset(domain.constants) - active_domain(program, instance, target)
     fresh = [c for c in domain.constants if c in is_fresh]
     fixed = [c for c in domain.constants if c not in is_fresh]
     # The place of each value in the order that ``choices`` gives.
     rank_of = {v: n for n, v in enumerate(fixed + fresh)}.__getitem__
-    index = _index_instance(instance.facts)
     store: dict[str, _Relation] = defaultdict(_Relation)
     by_atom: dict[tuple[str, tuple[str, ...]], list[frozenset]] = {}
 

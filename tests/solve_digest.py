@@ -15,8 +15,10 @@ solved with ``dlrepair.ma_min``:
   and semi-positive in turn, ``answer_edge`` on two programs in three, at
   budget 2 or 3.
 
-One line per solve gives its index, its kind and a hash of its status,
-sorted insertions, sorted deletions and witness.
+One line per solve gives its index, its kind, a hash of its status,
+sorted insertions, sorted deletions and witness, and a second hash of the
+status and the repair alone, so that a diff whose second hashes agree
+changed only witnesses.
 
 A satisfiability section follows, drawn from its own generator seeded
 alike, with one line per decision in this cycle:
@@ -91,7 +93,7 @@ def draw(kind: str, i: int, rng: random.Random):
 
 
 def digest_lines(seed: int, count: int) -> Iterator[str]:
-    """One ``index kind hash`` line per solve."""
+    """One ``index kind hash repair-hash`` line per solve."""
     rng = random.Random(seed)
     for i in range(count):
         kind = KINDS[i % len(KINDS)]
@@ -102,7 +104,8 @@ def digest_lines(seed: int, count: int) -> Iterator[str]:
         if witness is not None:
             witness = sorted(witness.items())
         digest = hashlib.sha256(repr((result.status, update, witness)).encode()).hexdigest()[:16]
-        yield f"{i} {kind} {digest}"
+        repair = hashlib.sha256(repr((result.status, update)).encode()).hexdigest()[:16]
+        yield f"{i} {kind} {digest} {repair}"
 
 
 def sat_lines(seed: int, count: int) -> Iterator[str]:

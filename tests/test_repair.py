@@ -40,6 +40,8 @@ from dlrepair import (
     specialize,
     var,
 )
+from dlrepair import engine
+from dlrepair.engine import _plan
 from dlrepair.model import fresh_constants
 from dlrepair.repair import DEFAULT_SP_BUDGET, _enumerate_updates, _least_relabelling
 from randgen import (
@@ -151,6 +153,17 @@ class TestUcqSolver:
         result = ma_min_ucqneg(program, parse_instance("p(a). r(b)."), ())
         assert result.repair == Update.of()
         assert result.witness_assignment == {"X": "a"}
+
+    def test_tied_witness_follows_the_instance_order_of_variables(self):
+        # W's two stored literals match four rows and Z's one matches two,
+        # so Z takes its values first: the first empty repair found has
+        # Z = a, and W != Z leaves W = b.
+        program = parse_program("ans :- q(W), q(W), q(Z), W != Z.")
+        instance = parse_instance("p(a). q(a). q(b).")
+        result = ma_min_ucqneg(program, instance, ())
+        assert result.repair == Update.of()
+        assert result.witness_assignment == {"W": "b", "Z": "a"}
+        assert repair_for_assignment(program.rules[0], result.witness_assignment, instance) == result.repair
 
     def test_free_negated_atom_over_a_large_relation(self):
         # A fresh value keeps !p(Y) true however many p facts are stored.
@@ -453,6 +466,61 @@ class TestRuleSearch:
             if expected is not None:
                 assert repair_for_assignment(rule, result.witness_assignment, instance) == expected
             checked += 1
+
+
+class TestFreeStepOrder:
+    def test_plan_places_free_slots_in_the_given_order(self):
+        # Slots X, Y, Z are 0, 1, 2; no literal is a lookup, so every slot
+        # is a free step.
+        rule = parse_program("ans :- r(X,Y), s(Y,Z), !t(Z), X != Z.").rules[0]
+
+        def layout(plan):
+            """The plan with each check's reader left out."""
+            start, pre, steps, _, variables, bound = plan
+            steps = [(step, [(pos, rel, args) for pos, rel, _, args in checks], unequal) for step, checks, unequal in steps]
+            return start, pre, steps, variables, bound
+
+        assert layout(_plan(rule, frozenset(), None, ())) == layout(_plan(rule, frozenset())) == (
+            (None, None, None),
+            ((), ()),
+            [(0, [], ()), (1, [(True, "r", (0, 1))], ()), (2, [(True, "s", (1, 2)), (False, "t", (2,))], ((0, 2),))],
+            {"X": 0, "Y": 1, "Z": 2},
+            (0, 1, 2),
+        )
+        for free in itertools.permutations(range(3)):
+            for length in range(4):
+                start, pre, steps, _, _, bound = _plan(rule, frozenset(), None, free[:length])
+                order = [step for step, _, _ in steps]
+                assert order == [*free[:length], *sorted(set(range(3)) - set(free[:length]))]
+                assert pre == ((), ())
+                assert bound == tuple(order.index(s) for s in range(3))
+                # Each check and inequality sits at the step that grounds it.
+                for t, (_, checks, unequal) in enumerate(steps):
+                    for _, _, _, args in checks:
+                        assert max(bound[s] for s in args) == t
+                    for a, b in unequal:
+                        assert max(bound[a], bound[b]) == t
+
+    def test_a_chain_body_keeps_its_order(self, monkeypatch):
+        # Each e literal reads two variables, so the chain starts at X0 and
+        # then each next variable is the only unplaced one of a literal:
+        # the search looks up 2 rows per literal, where ordering by rows
+        # alone split the chain and made 23,085 lookups.
+        n = 200
+        program = parse_program("ans :- " + ", ".join(f"e(X{j},X{j + 1})" for j in range(n)) + ".")
+        instance = parse_instance("".join(f"e(n{j},n{j + 1}). " for j in range(n)))
+        calls = []
+        lookup = engine._Relation.lookup
+
+        def counting(self, *args):
+            calls.append(None)
+            return lookup(self, *args)
+
+        monkeypatch.setattr(engine._Relation, "lookup", counting)
+        result = ma_min_ucqneg(program, instance, ())
+        assert result.repair == Update.of()
+        assert result.witness_assignment == {f"X{j}": f"n{j}" for j in range(n + 1)}
+        assert len(calls) <= 3 * n
 
 
 class TestMaBoundAndSize:
